@@ -9,7 +9,8 @@ under both mappings, with and without DMS.
 from repro.config import AddressMapping, GPUConfig, baseline_scheduler
 from repro.harness.schemes import dms_only
 from repro.harness.tables import format_table
-from repro.sim.system import simulate
+from repro.sim.spec import SimSpec
+from repro.sim.system import simulate_spec
 from repro.workloads import get_workload
 
 APP = "MVT"
@@ -23,10 +24,14 @@ def run_all(scale: float):
     out = {}
     for scheme in ("bank_interleaved", "permuted"):
         cfg = config_for(scheme)
-        base = simulate(get_workload(APP, scale=scale),
-                        scheduler=baseline_scheduler(), config=cfg)
-        dms = simulate(get_workload(APP, scale=scale),
-                       scheduler=dms_only(1024), config=cfg)
+        base = simulate_spec(
+            get_workload(APP, scale=scale),
+            SimSpec(scheduler=baseline_scheduler(), config=cfg),
+        )
+        dms = simulate_spec(
+            get_workload(APP, scale=scale),
+            SimSpec(scheduler=dms_only(1024), config=cfg),
+        )
         out[scheme] = (base, dms)
     return out
 

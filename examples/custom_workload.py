@@ -20,7 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import baseline_scheduler, simulate, static_ams, static_dms
+from repro import (
+    SimSpec,
+    baseline_scheduler,
+    simulate_spec,
+    static_ams,
+    static_dms,
+)
 from repro.config.gpu import GPUConfig
 from repro.workloads.base import Workload
 from repro.workloads.data import smooth_field
@@ -63,13 +69,13 @@ class WavePropagation(Workload):
 
 def main() -> None:
     workload = WavePropagation(scale=0.5)
-    base = simulate(workload, scheduler=baseline_scheduler())
+    base = simulate_spec(workload, SimSpec(scheduler=baseline_scheduler()))
     print(base.summary())
     print()
     for scheme in (static_dms(512), static_ams(8)):
-        run = simulate(
-            WavePropagation(scale=0.5), scheduler=scheme,
-            measure_error=True,
+        run = simulate_spec(
+            WavePropagation(scale=0.5),
+            SimSpec(scheduler=scheme, measure_error=True),
         )
         print(run.summary())
         print(

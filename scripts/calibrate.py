@@ -19,15 +19,16 @@ from repro.config import (
     baseline_scheduler,
     static_dms,
 )
-from repro.sim.system import GPUSystem
+from repro.sim.spec import SimSpec
+from repro.sim.system import GPUSystem, simulate_spec
 from repro.workloads.registry import get_workload, list_workloads
 
 
 def run(workload, sched, measure_error=False):
-    from repro.sim.system import simulate
-
     t0 = time.time()
-    r = simulate(workload, scheduler=sched, measure_error=measure_error)
+    r = simulate_spec(
+        workload, SimSpec(scheduler=sched, measure_error=measure_error)
+    )
     r.wall = time.time() - t0
     return r
 

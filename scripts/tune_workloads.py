@@ -10,7 +10,8 @@ from __future__ import annotations
 import sys
 
 from repro.config import baseline_scheduler
-from repro.sim.system import simulate
+from repro.sim.spec import SimSpec
+from repro.sim.system import simulate_spec
 from repro.workloads.characteristics import TABLE_II
 from repro.workloads.registry import _ensure_loaded, _REGISTRY
 from repro.workloads.tuning import TUNING
@@ -26,7 +27,7 @@ CLASS_TARGETS = {
 def measure_bw(name: str, p: float, cs: float) -> float:
     _ensure_loaded()
     wl = _REGISTRY[name](scale=1.0, seed=7, parallelism=p, compute_scale=cs)
-    report = simulate(wl, scheduler=baseline_scheduler())
+    report = simulate_spec(wl, SimSpec(scheduler=baseline_scheduler()))
     return report.bwutil
 
 

@@ -14,10 +14,10 @@ The package provides:
 
 Quickstart::
 
-    from repro import baseline_config, dyn_combo, simulate, get_workload
+    from repro import SimSpec, dyn_combo, get_workload, simulate_spec
 
     workload = get_workload("SCP")
-    report = simulate(workload, scheduler=dyn_combo())
+    report = simulate_spec(workload, SimSpec(scheduler=dyn_combo()))
     print(report.summary())
 """
 
@@ -44,7 +44,6 @@ __all__ = [
     "static_ams",
     "static_combo",
     "static_dms",
-    "simulate",
     "simulate_spec",
     "SimSpec",
     "get_device",
@@ -57,10 +56,10 @@ __all__ = [
 def __getattr__(name: str):
     # Lazy imports keep `import repro` light and avoid import cycles while
     # the higher layers (sim, workloads) are built on top of this package.
-    if name in ("simulate", "simulate_spec"):
-        from repro.sim import system
+    if name == "simulate_spec":
+        from repro.sim.system import simulate_spec
 
-        return getattr(system, name)
+        return simulate_spec
     if name == "SimSpec":
         from repro.sim.spec import SimSpec
 

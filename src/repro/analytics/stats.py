@@ -62,11 +62,10 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
     upper = int(math.ceil(position))
     if lower == upper:
         return float(sorted_values[lower])
-    weight = position - lower
-    return (
-        sorted_values[lower] * (1.0 - weight)
-        + sorted_values[upper] * weight
-    )
+    # ``a + (b - a) * w`` (not ``a * (1 - w) + b * w``) is monotone in
+    # ``w`` under rounding, so wider bootstrap cuts nest exactly.
+    low = sorted_values[lower]
+    return low + (sorted_values[upper] - low) * (position - lower)
 
 
 @dataclass(frozen=True)

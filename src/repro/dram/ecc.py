@@ -585,7 +585,7 @@ class FaultInjector:
     positions come from the same counter-based stream. Request ids are
     reset per simulation cell (:func:`repro.dram.request
     .reset_request_ids`), so the flip sites depend only on the spec
-    content, never on execution order, process fan-out, or threads.
+    content, never on execution order or process fan-out.
     """
 
     __slots__ = ("p_bit", "stored_bits", "_base", "_p0")

@@ -13,11 +13,12 @@ from repro.config.address import AddressMapping
 class _RidState(threading.local):
     """Per-thread request-id stream.
 
-    The counter is thread-local so the warm pool's ``--threads`` mode
-    stays deterministic: each worker thread re-seeds *its own* stream at
-    the top of every cell (see ``reset_request_ids``), so concurrent
-    cells cannot interleave rids — a cell's report depends only on the
-    cell, never on what another thread simulated at the same time.
+    The counter is thread-local because the service daemon simulates
+    telemetry jobs concurrently on its executor threads: each thread
+    re-seeds *its own* stream at the top of every job (see
+    ``reset_request_ids``), so concurrent jobs cannot interleave rids —
+    a job's report depends only on its spec, never on what another
+    thread simulated at the same time.
     """
 
     def __init__(self) -> None:

@@ -39,6 +39,7 @@ from repro.harness.schemes import (
     scheme_def,
     scheme_ids,
 )
+from repro.sim.spec import SimSpec
 
 #: Exit codes of the main experiment command (documented in README):
 #: every requested cell produced a report.
@@ -194,7 +195,6 @@ def _scheme_table(
     apps: list[str],
     ids: list[str],
     *,
-    device: str | None,
     measure_error: bool,
 ) -> str:
     """Table-III-style comparison: every scheme vs. the FR-FCFS baseline.
@@ -206,6 +206,7 @@ def _scheme_table(
     sim_ids = ids if "frfcfs" in ids else ["frfcfs", *ids]
     schemes = {scheme_def(i).label: scheme_def(i).build() for i in sim_ids}
     result = runner.run_matrix(apps, schemes, measure_error=measure_error)
+    device = runner.spec.device
     device_line = "default (config-embedded GDDR5)"
     if device is not None:
         model = get_device(device)
@@ -267,11 +268,6 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         help="simulate up to N matrix cells in parallel",
     )
     parser.add_argument(
-        "--threads", action="store_true",
-        help="fan --jobs out over worker threads instead of processes "
-        "(no serialization; best for cache-dominated sweeps)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="bypass the persistent result cache",
     )
@@ -307,15 +303,14 @@ def _table_main(argv: list[str]) -> int:
         parser.error(str(exc))
     apps = [a.strip() for a in args.apps.split(",") if a.strip()]
     runner = Runner(
-        scale=args.scale, seed=args.seed, device=args.device,
-        verbose=not args.quiet, jobs=args.jobs, threads=args.threads,
+        scale=args.scale, seed=args.seed, spec=SimSpec(device=args.device),
+        verbose=not args.quiet, jobs=args.jobs,
         cache=None if args.no_cache else ResultCache(),
     )
     try:
         print(
             _scheme_table(
-                runner, apps, ids,
-                device=args.device, measure_error=args.measure_error,
+                runner, apps, ids, measure_error=args.measure_error
             )
         )
     except CellFailedError as exc:
@@ -356,15 +351,13 @@ def _matrix_main(argv: list[str]) -> int:
     exit_code = EXIT_OK
     for device in devices:
         runner = Runner(
-            scale=args.scale, seed=args.seed, device=device,
-            verbose=not args.quiet, jobs=args.jobs, threads=args.threads,
-            cache=cache,
+            scale=args.scale, seed=args.seed, spec=SimSpec(device=device),
+            verbose=not args.quiet, jobs=args.jobs, cache=cache,
         )
         try:
             print(
                 _scheme_table(
-                    runner, apps, ids,
-                    device=device, measure_error=args.measure_error,
+                    runner, apps, ids, measure_error=args.measure_error
                 )
             )
             print()
@@ -439,10 +432,6 @@ def _pareto_main(argv: list[str]) -> int:
         help="simulate up to N cells in parallel per (device, ecc) group",
     )
     parser.add_argument(
-        "--threads", action="store_true",
-        help="fan --jobs out over worker threads instead of processes",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="bypass the persistent result cache",
     )
@@ -483,7 +472,6 @@ def _pareto_main(argv: list[str]) -> int:
             seed=args.seed,
             p_bit=args.p_bit,
             jobs=args.jobs,
-            threads=args.threads,
             cache=None if args.no_cache else ResultCache(),
             verbose=not args.quiet,
         )
@@ -799,11 +787,6 @@ def _serve_main(argv: list[str]) -> int:
         help="supervised simulator worker processes (default 2)",
     )
     parser.add_argument(
-        "--in-process", action="store_true",
-        help="run jobs on daemon threads instead of the supervised "
-        "process tier (no crash isolation; PR 5 behaviour)",
-    )
-    parser.add_argument(
         "--queue-size", type=int, default=64,
         help="bounded queue depth before 429 backpressure (default 64)",
     )
@@ -907,7 +890,6 @@ def _serve_main(argv: list[str]) -> int:
         retries=args.retries,
         cell_timeout=args.cell_timeout,
         window_cycles=args.window or WINDOW_CYCLES,
-        process_tier=not args.in_process,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
         shed_watermark=args.shed_watermark,
@@ -984,8 +966,6 @@ def _submit_main(argv: list[str]) -> int:
         definition = scheme_def(args.scheme)
     except ConfigError as exc:
         parser.error(str(exc))
-    from repro.sim.spec import SimSpec
-
     spec = SimSpec(
         scheduler=definition.build(),
         device=args.device,
@@ -1241,8 +1221,9 @@ def _tenants_main(argv: list[str]) -> int:
         parser.error(str(exc))
     scheme = scheme_def(args.scheme).build()
     runner = Runner(
-        scale=args.scale, seed=args.seed, device=args.device,
-        tenants=mix, verbose=not args.quiet, jobs=args.jobs,
+        scale=args.scale, seed=args.seed,
+        spec=SimSpec(device=args.device, tenants=mix),
+        verbose=not args.quiet, jobs=args.jobs,
         cache=None if args.no_cache else ResultCache(),
     )
     label = "+".join(t.workload for t in tenants)
@@ -1335,12 +1316,6 @@ def main(argv: list[str] | None = None) -> int:
         help="simulate up to N matrix cells in parallel worker processes",
     )
     parser.add_argument(
-        "--threads",
-        action="store_true",
-        help="fan --jobs out over worker threads instead of processes "
-        "(no serialization; best for cache-dominated sweeps)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="profile every simulated cell with cProfile and report the "
@@ -1412,10 +1387,9 @@ def main(argv: list[str] | None = None) -> int:
     runner = Runner(
         scale=args.scale,
         seed=args.seed,
-        device=args.device,
+        spec=SimSpec(device=args.device),
         verbose=not args.quiet,
         jobs=args.jobs,
-        threads=args.threads,
         profile=args.profile,
         cache=None if args.no_cache else ResultCache(),
         retries=args.retries,

@@ -3,12 +3,17 @@
 Every function returns an :class:`ExperimentResult` whose ``text`` is a
 printable table matching the figure's rows/series, and whose ``data``
 holds the raw numbers for the benchmarks and EXPERIMENTS.md.
+
+Figures that read their cells one at a time first run the whole sweep
+through :meth:`~repro.harness.runner.Runner.run_matrix`, so the cells
+are dispatched — and addressed by a chaos plan — the same way at every
+``--jobs``; the per-cell ``runner.run`` calls after it are memo hits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -47,53 +52,14 @@ class ExperimentResult:
         return self.text
 
 
-def _queue_config(base: Optional[GPUConfig], size: int) -> GPUConfig:
-    import dataclasses
-
-    cfg = base or GPUConfig()
-    return dataclasses.replace(cfg, pending_queue_size=size)
-
-
-def _sub_runner(runner: Runner, config: GPUConfig) -> Runner:
-    """A runner with a different GPU config inheriting the parent's
-    parallelism, cache, and fault-tolerance layers (content keys
-    disambiguate configs). ``failures`` and ``metrics`` are shared *by
-    reference* so quarantined cells and retry counters from sub-sweeps
-    surface in the parent's manifest (and the CLI's exit code)."""
-    return Runner(
-        scale=runner.scale,
-        seed=runner.seed,
-        config=config,
-        verbose=runner.verbose,
-        jobs=runner.jobs,
-        cache=runner.cache,
-        retries=runner.retries,
-        retry_backoff=runner.retry_backoff,
-        cell_timeout=runner.cell_timeout,
-        keep_going=runner.keep_going,
-        faults=runner.faults,
-        metrics=runner.metrics,
-        failures=runner.failures,
+def _queue_runner(runner: Runner, size: int) -> Runner:
+    """The runner of one Fig. 2/13 queue-size point: the parent's spec
+    with ``pending_queue_size`` replaced, every other field inherited
+    (content keys disambiguate the configs)."""
+    config = replace(
+        runner.spec.config or GPUConfig(), pending_queue_size=size
     )
-
-
-def _prefetch(
-    runner: Runner,
-    apps: Sequence[str],
-    schemes: dict,
-    *,
-    measure_error: bool = False,
-) -> None:
-    """Fill the runner's memo for a sweep using the parallel path.
-
-    The figure functions below iterate cells one at a time (their table
-    layout needs per-cell access anyway); with ``jobs > 1`` this
-    populates every cell concurrently first, turning those loops into
-    memo hits. With ``jobs == 1`` it is a no-op — the serial loops
-    already simulate on demand.
-    """
-    if runner.jobs > 1:
-        runner.run_matrix(apps, schemes, measure_error=measure_error)
+    return replace(runner, spec=replace(runner.spec, config=config))
 
 
 def _delay_sweep_schemes() -> dict:
@@ -113,8 +79,7 @@ def fig02(
     """Activations vs queue size, normalized to the 128-entry baseline."""
     acts: dict[str, dict[int, int]] = {app: {} for app in apps}
     for size in QUEUE_SIZES:
-        sub = _sub_runner(runner, _queue_config(runner.config, size))
-        reports = sub.run_matrix(
+        reports = _queue_runner(runner, size).run_matrix(
             apps, {f"q{size}": evaluation_schemes()["Baseline"]}
         )
         for app in apps:
@@ -146,7 +111,7 @@ def fig04(
     runner: Runner, apps: Sequence[str] = ALL_APPS
 ) -> ExperimentResult:
     """Normalized activations (a) and IPC (b) for DMS(64..2048)."""
-    _prefetch(runner, apps, _delay_sweep_schemes())
+    runner.run_matrix(apps, _delay_sweep_schemes())
     acts: dict[str, dict[int, float]] = {}
     ipcs: dict[str, dict[int, float]] = {}
     for app in apps:
@@ -199,7 +164,7 @@ def fig05(
     runner: Runner, apps: Sequence[str] = ("GEMM", "newtonraph")
 ) -> ExperimentResult:
     """Activation-count shares per RBL bucket as the delay grows."""
-    _prefetch(runner, apps, _delay_sweep_schemes())
+    runner.run_matrix(apps, _delay_sweep_schemes())
     data: dict[str, dict[int, list[float]]] = {}
     for app in apps:
         data[app] = {}
@@ -231,8 +196,7 @@ def fig06(
 ) -> ExperimentResult:
     """CDF: x = fraction of read requests (sorted by their activation's
     RBL), y = fraction of total activations."""
-    _prefetch(runner, apps,
-              {"Baseline": evaluation_schemes()["Baseline"]})
+    runner.run_matrix(apps, {"Baseline": evaluation_schemes()["Baseline"]})
     curves: dict[str, list[tuple[float, float]]] = {}
     for app in apps:
         base = runner.run(app, evaluation_schemes()["Baseline"],
@@ -292,18 +256,17 @@ def fig07(runner: Runner) -> ExperimentResult:
         "DMS(256)+AMS(8)": dms_plus_ams(256, 8),
     }
     baseline = {"Baseline": evaluation_schemes()["Baseline"]}
-    _prefetch(runner, ("LPS",), {**baseline, **lps_cases},
-              measure_error=True)
-    _prefetch(runner, ("SCP",), {**baseline, **scp_cases},
-              measure_error=True)
+    runner.run_matrix(("LPS",), {**baseline, **lps_cases},
+                      measure_error=True)
+    runner.run_matrix(("SCP",), {**baseline, **scp_cases},
+                      measure_error=True)
     blocks = []
     for app, cases in (("LPS", lps_cases), ("SCP", scp_cases)):
         base = runner.run(app, evaluation_schemes()["Baseline"],
                           label="Baseline")
         rows = []
         for label, scheme in cases.items():
-            r = runner.run(app, scheme, label=label,
-                           measure_error=scheme.ams.mode.value != "off")
+            r = runner.run(app, scheme, label=label, measure_error=True)
             rows.append(
                 [
                     label,
@@ -334,7 +297,7 @@ def fig10(
     apps: Sequence[str] = ("SCP", "MVT", "CONS", "newtonraph"),
 ) -> ExperimentResult:
     """Per-app (BWUTIL, IPC) across delays + Pearson correlation."""
-    _prefetch(runner, apps, _delay_sweep_schemes())
+    runner.run_matrix(apps, _delay_sweep_schemes())
     data: dict[str, list[tuple[float, float]]] = {}
     corr: dict[str, float] = {}
     for app in apps:
@@ -365,8 +328,7 @@ def fig10(
 # ----------------------------------------------------------------------
 def fig11(runner: Runner, app: str = "SCP") -> ExperimentResult:
     """Normalized activations for AMS(Th) as Th_RBL drops 8 -> 1."""
-    _prefetch(
-        runner,
+    runner.run_matrix(
         (app,),
         {"Baseline": evaluation_schemes()["Baseline"],
          **{f"AMS({th})": ams_only(th) for th in range(8, 0, -1)}},
@@ -459,8 +421,8 @@ def hbm_projection(
 ) -> ExperimentResult:
     """Memory-system energy on HBM1/HBM2 for Dyn-DMS + Dyn-AMS."""
     schemes = evaluation_schemes()
-    _prefetch(
-        runner, apps,
+    runner.run_matrix(
+        apps,
         {"Baseline": schemes["Baseline"],
          "Dyn-DMS+Dyn-AMS": schemes["Dyn-DMS+Dyn-AMS"]},
     )
@@ -506,8 +468,9 @@ def fig13(
     )
     acts: dict[str, dict[int, int]] = {app: {} for app in apps}
     for size in QUEUE_SIZES:
-        sub = _sub_runner(runner, _queue_config(runner.config, size))
-        reports = sub.run_matrix(apps, {f"DMS2048/q{size}": dms_only(2048)})
+        reports = _queue_runner(runner, size).run_matrix(
+            apps, {f"DMS2048/q{size}": dms_only(2048)}
+        )
         for app in apps:
             acts[app][size] = reports[(app, f"DMS2048/q{size}")].activations
     data: dict[str, dict[int, float]] = {}
@@ -634,14 +597,13 @@ def table2(
         classify_thrashing,
     )
 
-    _prefetch(
-        runner, apps,
+    runner.run_matrix(
+        apps,
         {**_delay_sweep_schemes(), "AMS(8)": ams_only(8)},
         measure_error=True,
     )
-    _prefetch(
-        runner, apps,
-        {f"AMS({th})": ams_only(th) for th in (4, 2, 1)},
+    runner.run_matrix(
+        apps, {f"AMS({th})": ams_only(th) for th in (4, 2, 1)}
     )
     rows = []
     matches = 0

@@ -30,6 +30,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.runner import Runner
 from repro.harness.schemes import scheme_def
 from repro.sim.report import SimReport
+from repro.sim.spec import SimSpec
 
 #: Default per-bit flip probability for sweeps: high enough that a
 #: scaled-down trace still sees a statistically meaningful number of
@@ -160,7 +161,6 @@ def run_pareto(
     p_bit: float = DEFAULT_SWEEP_P_BIT,
     fault_scale: float = 1.0,
     jobs: int = 1,
-    threads: bool = False,
     cache: Optional[ResultCache] = None,
     verbose: bool = True,
 ) -> list[ParetoRow]:
@@ -184,12 +184,9 @@ def run_pareto(
             runner = Runner(
                 scale=scale,
                 seed=seed,
-                device=device,
-                ecc=code,
-                fault_model=faults,
+                spec=SimSpec(device=device, ecc=code, faults=faults),
                 verbose=verbose,
                 jobs=jobs,
-                threads=threads,
                 cache=cache,
             )
             try:

@@ -27,13 +27,6 @@ with workers that outlive individual matrices:
   timed-out cell.  The seed executor could only declare the whole pool
   broken.  Every respawn notifies ``on_rebuild`` (the runner wires this
   to the ``harness.pool_rebuilds`` metric).
-* **Thread mode** — ``threads=True`` runs the same loop in daemon
-  threads instead of processes: no serialization at all, ideal for
-  cache-dominated sweeps or small matrices where process fan-out costs
-  more than the GIL does.  Determinism holds because the request-id
-  counter is thread-local (see :mod:`repro.dram.request`).  Threads
-  cannot be preempted, so the runner falls back to processes whenever a
-  ``cell_timeout`` is armed.
 
 The pool resolves plain :class:`concurrent.futures.Future` objects, so
 the supervising runner keeps using ``concurrent.futures.wait``.
@@ -42,7 +35,6 @@ the supervising runner keeps using ``concurrent.futures.wait``.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 import threading
 import time
 import traceback
@@ -165,32 +157,6 @@ def _worker_main(conn) -> None:
                 conn.send(("ok", task_id, key, report_dict, elapsed))
 
 
-def _thread_main(jobs: "queue_mod.SimpleQueue") -> None:
-    """Thread-mode worker body: same loop, no wire format."""
-    from repro.harness import runner as runner_mod
-
-    while True:
-        job = jobs.get()
-        if job is None:
-            return
-        future, item = job
-        key, spec, faults, index, attempt = item
-        try:
-            # ``in_worker=False``: an injected ``exit`` must degrade to
-            # an exception here — ``os._exit`` would kill the harness.
-            report, elapsed = runner_mod._simulate_cell(
-                spec,
-                faults=faults,
-                cell_index=index,
-                attempt=attempt,
-                in_worker=False,
-            )
-        except Exception as exc:
-            future.set_exception(exc)
-        else:
-            future.set_result((key, report, elapsed))
-
-
 class _ProcessWorker:
     """Parent-side handle of one worker process."""
 
@@ -221,44 +187,28 @@ class WarmPool:
         self,
         workers: int,
         *,
-        threads: bool = False,
         on_rebuild: Optional[Callable[[], None]] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"pool needs >= 1 worker, got {workers}")
         self.size = workers
-        self.threads = threads
         self.closed = False
         self._on_rebuild = on_rebuild
         self._lock = threading.Lock()
         self._next_id = 0
-        self._rr = 0  # round-robin cursor for batch/thread dispatch
         self._ping_seq = 0
         #: Workers respawned in place over the pool's lifetime.
         self.respawns = 0
-        if threads:
-            self._queues: list[queue_mod.SimpleQueue] = []
-            self._threads: list[threading.Thread] = []
-            for _ in range(workers):
-                q: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
-                t = threading.Thread(
-                    target=_thread_main, args=(q,),
-                    name="repro-warm-thread", daemon=True,
-                )
-                t.start()
-                self._queues.append(q)
-                self._threads.append(t)
-        else:
-            methods = multiprocessing.get_all_start_methods()
-            self._ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            self._workers = [self._spawn() for _ in range(workers)]
-            self._collector = threading.Thread(
-                target=self._collect_loop,
-                name="repro-warm-collector", daemon=True,
-            )
-            self._collector.start()
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+        self._workers = [self._spawn() for _ in range(workers)]
+        self._collector = threading.Thread(
+            target=self._collect_loop,
+            name="repro-warm-collector", daemon=True,
+        )
+        self._collector.start()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -276,8 +226,6 @@ class WarmPool:
         ``submit time + timeout`` deadline accurate and its kill
         surgical.
         """
-        if self.threads:
-            return self._submit_threads(items)
         futures: list[Future] = []
         batches: dict[int, list[tuple[int, dict]]] = {}
         with self._lock:
@@ -305,18 +253,6 @@ class WarmPool:
                 self._worker_died(worker)
         return futures
 
-    def _submit_threads(self, items: list[WorkItem]) -> list[Future]:
-        futures: list[Future] = []
-        with self._lock:
-            if self.closed:
-                raise RuntimeError("warm pool is shut down")
-            for item in items:
-                future = Future()
-                self._queues[self._rr % self.size].put((future, item))
-                self._rr += 1
-                futures.append(future)
-        return futures
-
     # ------------------------------------------------------------------
     # Supervision hooks
     # ------------------------------------------------------------------
@@ -339,7 +275,7 @@ class WarmPool:
             pass  # cancelled or already resolved: the waiter moved on
 
     def ping(self) -> int:
-        """Send one heartbeat probe to every live worker (process mode).
+        """Send one heartbeat probe to every live worker.
 
         Returns the number of probes sent.  Answers arrive on the
         collector thread and update each worker's ``last_pong``; read
@@ -348,8 +284,6 @@ class WarmPool:
         heartbeat certifies *idle* liveness, per-job deadlines cover
         busy workers.
         """
-        if self.threads:
-            return 0
         with self._lock:
             if self.closed:
                 return 0
@@ -366,17 +300,9 @@ class WarmPool:
         return sent
 
     def worker_states(self) -> list[dict]:
-        """Introspection snapshot of every worker slot (for healthz).
-
-        Thread mode reports thread liveness only; process mode adds
-        pid, in-flight load, heartbeat age, and lifetime counters.
-        """
+        """Introspection snapshot of every worker slot (for healthz): pid,
+        in-flight load, heartbeat age, and lifetime counters."""
         now = time.time()
-        if self.threads:
-            return [
-                {"mode": "thread", "alive": t.is_alive()}
-                for t in self._threads
-            ]
         with self._lock:
             workers = list(self._workers)
         return [
@@ -403,8 +329,6 @@ class WarmPool:
         ``max_age`` seconds is wedged and gets its slot respawned.
         Returns the number of workers replaced.
         """
-        if self.threads:
-            return 0
         now = time.time()
         stale: list[_ProcessWorker] = []
         with self._lock:
@@ -431,11 +355,9 @@ class WarmPool:
         caller has already charged it a timeout.  Any other in-flight
         future on the same worker (none in timeout mode, where the
         runner keeps one cell per worker) fails with
-        :class:`WorkerCrashError`.  Returns False in thread mode, where
-        preemption is impossible.
+        :class:`WorkerCrashError`.  Returns False when no live worker
+        hosts the future.
         """
-        if self.threads:
-            return False
         with self._lock:
             owner = None
             for worker in self._workers:
@@ -472,10 +394,6 @@ class WarmPool:
             if self.closed:
                 return
             self.closed = True
-            if self.threads:
-                for q in self._queues:
-                    q.put(None)
-                return
             workers = list(self._workers)
             self._workers = []
         victims: list[Future] = []
@@ -497,7 +415,7 @@ class WarmPool:
     shutdown = close
 
     # ------------------------------------------------------------------
-    # Internals (process mode)
+    # Internals
     # ------------------------------------------------------------------
     def _spawn(self) -> _ProcessWorker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)

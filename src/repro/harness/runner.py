@@ -17,12 +17,15 @@ Three layers keep repeated figure reproductions cheap:
    stack once, receive cells *batched* over the codec wire format, and
    survive across ``run_matrix`` calls (so a benchmark loop pays the
    spawn cost once — :meth:`Runner.prewarm` pays it ahead of timing).
-   ``Runner(threads=True)`` runs the same fan-out on threads instead of
-   processes — no serialization at all, useful for cache-dominated or
-   tiny matrices. Cells are deduplicated by content key before
-   dispatch, and every cell (serial or parallel) resets its thread's
-   request-id counter first, so serial, process-parallel, thread-
-   parallel, and cached runs produce field-identical reports.
+   Cells are deduplicated by content key before dispatch, and every
+   cell (serial or parallel) resets the request-id counter first, so
+   serial, parallel, and cached runs produce field-identical reports.
+
+Every cell is described by one :class:`~repro.sim.spec.SimSpec`: the
+runner's ``spec`` with the cell's scheme and ``measure_error`` put in.
+:class:`CellSpec` is the only place a spec becomes a cell, and
+:meth:`Runner.run` is a one-cell :meth:`Runner.run_matrix`, so a single
+cell gets the same caching, retries, chaos and timeouts as a sweep.
 
 On top of those sits the **fault-tolerance layer** (DESIGN goal: a
 single crashed or hung worker must not throw away a whole sweep):
@@ -63,18 +66,15 @@ import traceback as traceback_mod
 import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Deque, Iterable, Optional
 
-from repro.config.faults import FaultConfig
-from repro.config.gpu import GPUConfig
 from repro.config.scheduler import SchedulerConfig
 from repro.dram.request import reset_request_ids
 from repro.errors import CellFailedError, CellTimeoutError, WorkerCrashError
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.faults import CellFailure, FaultPlan, corrupt_blob
 from repro.harness.pool import WarmPool
-from repro.config.tenants import TenantMixSpec
 from repro.sim.report import SimReport
 from repro.sim.spec import SimSpec
 from repro.sim.system import GPUSystem, simulate_spec
@@ -101,48 +101,32 @@ PROFILE_TOP_N = 30
 @dataclass(frozen=True)
 class CellSpec:
     """Everything needed to simulate one matrix cell in any process:
-    the workload coordinates plus a :class:`~repro.sim.spec.SimSpec`."""
+    the workload coordinates plus the :class:`~repro.sim.spec.SimSpec`
+    it simulates under.
+
+    ``measure_error`` is kept only when the scheme has AMS on: with AMS
+    off nothing is ever dropped, so the replay is a no-op, and stripping
+    the flag lets such a cell share its report and key with the plain
+    run. This is the one place that rule lives.
+    """
 
     app: str
     scale: float
     seed: int
-    config: Optional[GPUConfig]
-    scheme: SchedulerConfig
-    measure_error: bool
-    device: Optional[str] = None
-    #: Registered ECC code protecting DRAM reads.
-    ecc: str = "none"
-    #: DRAM bit-flip fault model (None = disabled).
-    faults: Optional[FaultConfig] = None
-    #: Keep per-channel activation logs on the report (service jobs may
-    #: turn this off; the CLI runner always leaves it on).
-    record_activations: bool = True
-    #: Multi-tenant mix; when set, ``app`` only labels the cell — the
-    #: simulated trace is the mix's own workload roster.
-    tenants: Optional[TenantMixSpec] = None
+    spec: SimSpec
 
-    @property
-    def sim_spec(self) -> SimSpec:
-        """The :class:`SimSpec` describing how this cell simulates."""
-        return SimSpec(
-            scheduler=self.scheme,
-            device=self.device,
-            config=self.config,
-            measure_error=self.measure_error,
-            record_activations=self.record_activations,
-            ecc=self.ecc,
-            faults=self.faults if self.faults is not None else FaultConfig(),
-            tenants=self.tenants,
-        )
+    def __post_init__(self) -> None:
+        spec = self.spec
+        if spec.measure_error and spec.scheduler.ams.mode.value == "off":
+            object.__setattr__(
+                self, "spec", replace(spec, measure_error=False)
+            )
 
     @property
     def key(self) -> str:
         """Content-addressed cache key of this cell."""
         return cache_key(
-            app=self.app,
-            scale=self.scale,
-            seed=self.seed,
-            spec=self.sim_spec,
+            app=self.app, scale=self.scale, seed=self.seed, spec=self.spec
         )
 
     @property
@@ -157,12 +141,23 @@ class CellSpec:
             "app": self.app,
             "scale": self.scale,
             "seed": self.seed,
-            "spec": self.sim_spec.to_dict(),
+            "spec": self.spec.to_dict(),
         }
+
+    def workload(self):
+        """The workload this cell simulates: the tenant mix when the
+        spec names one (``app`` then only labels the cell)."""
+        if self.spec.tenants is not None:
+            from repro.workloads.tenant_mix import TenantMix
+
+            return TenantMix(
+                self.spec.tenants, scale=self.scale, seed=self.seed
+            )
+        return get_workload(self.app, scale=self.scale, seed=self.seed)
 
 
 def _simulate_cell(
-    spec: CellSpec,
+    cell: CellSpec,
     *,
     faults: Optional[FaultPlan] = None,
     cell_index: Optional[int] = None,
@@ -184,16 +179,9 @@ def _simulate_cell(
     if faults is not None and cell_index is not None:
         faults.fire_pre_simulation(cell_index, attempt, in_worker=in_worker)
     reset_request_ids()
-    if spec.tenants is not None:
-        from repro.workloads.tenant_mix import TenantMix
-
-        workload = TenantMix(
-            spec.tenants, scale=spec.scale, seed=spec.seed
-        )
-    else:
-        workload = get_workload(spec.app, scale=spec.scale, seed=spec.seed)
+    workload = cell.workload()
     start = time.perf_counter()
-    report = simulate_spec(workload, spec.sim_spec)
+    report = simulate_spec(workload, cell.spec)
     return report, time.perf_counter() - start
 
 
@@ -202,7 +190,7 @@ class _CellTask:
     """Mutable supervision state of one deduplicated matrix cell."""
 
     key: str
-    spec: CellSpec
+    cell: CellSpec
     label: str
     index: int
     #: Completed (failed) attempts so far; the next attempt is +1.
@@ -225,7 +213,7 @@ class _CellTask:
     def to_failure(self) -> CellFailure:
         exc = self.last_error
         return CellFailure(
-            app=self.spec.app,
+            app=self.cell.app,
             label=self.label,
             key=self.key,
             error_type=type(exc).__name__ if exc is not None else "Unknown",
@@ -274,17 +262,17 @@ class Runner:
     """Runs simulations with memoization, disk caching, parallelism, and
     supervised fault tolerance.
 
+    ``spec`` describes how every cell simulates (device, GPU config,
+    ECC, fault model, tenant mix, flags); each cell is that spec with
+    its scheme and ``measure_error`` put in (see :meth:`cell`).
     ``jobs`` controls matrix fan-out (1 = serial in-process; N > 1 uses a
     persistent :class:`~repro.harness.pool.WarmPool` of N workers that
     survives across ``run_matrix`` calls — :meth:`prewarm` spins it up
-    ahead of time). ``threads=True`` swaps the worker processes for
-    threads (no pickling/fork cost; ignored while a ``cell_timeout`` is
-    armed, because a thread cannot be killed). ``profile=True`` wraps
-    every in-process cell in :mod:`cProfile` and collects the top
-    cumulative frames into :attr:`profiles` (forces serial execution —
-    a worker process cannot be profiled from the parent).
-    ``cache=None`` disables the persistent disk layer; the default
-    honours ``REPRO_NO_CACHE``/``REPRO_CACHE_DIR``.
+    ahead of time). ``profile=True`` wraps every in-process cell in
+    :mod:`cProfile` and collects the top cumulative frames into
+    :attr:`profiles` (forces serial execution — a worker process cannot
+    be profiled from the parent). ``cache=None`` disables the persistent
+    disk layer; the default honours ``REPRO_NO_CACHE``/``REPRO_CACHE_DIR``.
 
     Fault-tolerance knobs (see the module docstring):
 
@@ -296,24 +284,22 @@ class Runner:
     * ``keep_going`` — return partial :class:`MatrixResult` instead of
       raising :class:`~repro.errors.CellFailedError`;
     * ``faults`` — chaos plan (defaults to ``$REPRO_CHAOS``).
+
+    A sub-sweep that changes only some fields (another queue size, a
+    tenant's solo baseline) runs on ``dataclasses.replace(runner,
+    **changes)``: it inherits every field it does not override and
+    shares the cache, metrics, failure manifest and profiles by
+    reference, so its quarantined cells and retry counters surface in
+    the parent's manifest (and the CLI's exit code). The memo, the
+    worker pool and ``simulations_run`` are each runner's own.
     """
 
     scale: float = 1.0
     seed: int = 7
-    config: Optional[GPUConfig] = None
-    #: Named DRAM device overlaying ``config`` (None = config-embedded).
-    device: Optional[str] = None
-    #: Registered ECC code protecting DRAM reads in every cell.
-    ecc: str = "none"
-    #: DRAM bit-flip fault model for every cell (None = disabled).
-    #: Distinct from :attr:`faults`, which is the harness *chaos* plan.
-    fault_model: Optional[FaultConfig] = None
-    #: Multi-tenant mix applied to every cell (None = single-workload).
-    tenants: Optional[TenantMixSpec] = None
+    #: How every cell simulates; cells replace scheme and measure_error.
+    spec: SimSpec = field(default_factory=SimSpec)
     verbose: bool = True
     jobs: int = 1
-    #: Use worker threads instead of processes for matrix fan-out.
-    threads: bool = False
     #: Capture a cProfile per simulated cell (serial runs only).
     profile: bool = False
     cache: Optional[ResultCache] = field(default_factory=ResultCache)
@@ -323,31 +309,29 @@ class Runner:
     keep_going: bool = False
     faults: Optional[FaultPlan] = field(default_factory=FaultPlan.from_env)
     metrics: MetricsHub = field(default_factory=MetricsHub)
-    #: Cells simulated (not served from memo/disk) over this runner's life.
-    simulations_run: int = 0
     #: Every quarantined cell over this runner's life (the manifest the
-    #: CLI serializes). Sub-runners share the parent's list.
+    #: CLI serializes). Derived runners share the parent's list.
     failures: list[CellFailure] = field(default_factory=list)
     #: ``--profile`` captures: {"app", "label", "stats"} per cell.
     profiles: list[dict] = field(default_factory=list)
-    _memo: dict[str, SimReport] = field(default_factory=dict)
-    _pool: Optional[WarmPool] = field(default=None, repr=False)
+    #: Cells simulated (not served from memo/disk) over this runner's life.
+    simulations_run: int = field(default=0, init=False)
+    _memo: dict[str, SimReport] = field(default_factory=dict, init=False)
+    _pool: Optional[WarmPool] = field(default=None, init=False, repr=False)
 
     # ------------------------------------------------------------------
-    def _spec(
-        self, app: str, scheme: SchedulerConfig, measure_error: bool
+    def cell(
+        self, app: str, scheme: SchedulerConfig, measure_error: bool = False
     ) -> CellSpec:
+        """The cell simulating ``app`` under ``scheme`` with this
+        runner's spec."""
         return CellSpec(
             app=app,
             scale=self.scale,
             seed=self.seed,
-            config=self.config,
-            scheme=scheme,
-            measure_error=measure_error,
-            device=self.device,
-            ecc=self.ecc,
-            faults=self.fault_model,
-            tenants=self.tenants,
+            spec=replace(
+                self.spec, scheduler=scheme, measure_error=measure_error
+            ),
         )
 
     def _log(self, app: str, label: str, detail: str) -> None:
@@ -358,22 +342,17 @@ class Runner:
     # Warm worker pool lifecycle
     # ------------------------------------------------------------------
     def _ensure_pool(self, workers: int) -> WarmPool:
-        """The persistent pool, (re)built only when it must grow or
-        change mode — a larger pool than requested is reused as-is,
-        since idle warm workers are cheaper than a rebuild."""
-        threads = self.threads and self.cell_timeout is None
+        """The persistent pool, (re)built only when it must grow — a
+        larger pool than requested is reused as-is, since idle warm
+        workers are cheaper than a rebuild."""
         pool = self._pool
-        if pool is not None and (
-            pool.closed or pool.size < workers or pool.threads != threads
-        ):
+        if pool is not None and (pool.closed or pool.size < workers):
             pool.shutdown()
             pool = None
         if pool is None:
             inc = self.metrics.inc
             pool = WarmPool(
-                workers,
-                threads=threads,
-                on_rebuild=lambda: inc(HARNESS_POOL_REBUILDS),
+                workers, on_rebuild=lambda: inc(HARNESS_POOL_REBUILDS)
             )
             self._pool = pool
             # The pool outlives individual matrices by design; tie its
@@ -398,61 +377,52 @@ class Runner:
 
     # ------------------------------------------------------------------
     def _simulate_inline(
-        self,
-        spec: CellSpec,
-        label: str,
-        *,
-        faults: Optional[FaultPlan] = None,
-        cell_index: Optional[int] = None,
-        attempt: int = 1,
+        self, task: _CellTask
     ) -> tuple[SimReport, float]:
-        """In-process simulation, optionally under the profiler."""
-        if not self.profile:
-            return _simulate_cell(
-                spec, faults=faults, cell_index=cell_index, attempt=attempt
-            )
-        profiler = cProfile.Profile()
-        profiler.enable()
+        """In-process simulation of the task's next attempt, optionally
+        under the profiler."""
+        profiler = cProfile.Profile() if self.profile else None
+        if profiler is not None:
+            profiler.enable()
         try:
             return _simulate_cell(
-                spec, faults=faults, cell_index=cell_index, attempt=attempt
+                task.cell, faults=self.faults, cell_index=task.index,
+                attempt=task.attempts + 1,
             )
         finally:
-            profiler.disable()
-            buffer = io.StringIO()
-            stats = pstats.Stats(profiler, stream=buffer)
-            stats.sort_stats("cumulative").print_stats(PROFILE_TOP_N)
-            self.profiles.append(
-                {"app": spec.app, "label": label,
-                 "stats": buffer.getvalue()}
-            )
+            if profiler is not None:
+                profiler.disable()
+                buffer = io.StringIO()
+                stats = pstats.Stats(profiler, stream=buffer)
+                stats.sort_stats("cumulative").print_stats(PROFILE_TOP_N)
+                self.profiles.append(
+                    {"app": task.cell.app, "label": task.label,
+                     "stats": buffer.getvalue()}
+                )
 
     def _finish(
-        self, key: str, spec: CellSpec, label: str,
-        report: SimReport, elapsed: float,
-        chaos_index: Optional[int] = None,
-    ) -> SimReport:
+        self, task: _CellTask, report: SimReport, elapsed: float
+    ) -> None:
         """Account, log, memoize, and persist one freshly simulated cell."""
+        cell, label = task.cell, task.label
         self.simulations_run += 1
         self.metrics.inc(HARNESS_SIMULATED)
         self._log(
-            spec.app, label,
+            cell.app, label,
             f"{elapsed:.1f}s, acts={report.activations}, "
             f"ipc={report.ipc:.2f}",
         )
-        self._memo[key] = report
+        self._memo[task.key] = report
         if self.cache is not None:
-            path = self.cache.store(key, report, meta=spec.cache_meta)
+            path = self.cache.store(task.key, report, meta=cell.cache_meta)
             if (
                 path is not None
                 and self.faults is not None
-                and chaos_index is not None
-                and self.faults.should_corrupt(chaos_index)
+                and self.faults.should_corrupt(task.index)
             ):
                 corrupt_blob(path)
                 self.metrics.inc(HARNESS_CHAOS_CORRUPTED)
-                self._log(spec.app, label, "chaos: corrupted cache blob")
-        return report
+                self._log(cell.app, label, "chaos: corrupted cache blob")
 
     # ------------------------------------------------------------------
     def run(
@@ -463,21 +433,13 @@ class Runner:
         label: Optional[str] = None,
         measure_error: bool = False,
     ) -> SimReport:
-        """Simulate one (app, scheme) cell, using every cache layer."""
+        """Simulate one (app, scheme) cell: a one-cell :meth:`run_matrix`,
+        so it gets every cache layer, retries, chaos and timeouts."""
         label = label or scheme.name
-        spec = self._spec(app, scheme, measure_error)
-        key = spec.key
-        report = self._memo.get(key)
-        if report is not None:
-            return report
-        if self.cache is not None:
-            report = self.cache.load(key)
-            if report is not None:
-                self._log(app, label, "disk cache hit")
-                self._memo[key] = report
-                return report
-        report, elapsed = self._simulate_inline(spec, label)
-        return self._finish(key, spec, label, report, elapsed)
+        result = self.run_matrix(
+            [app], {label: scheme}, measure_error=measure_error
+        )
+        return result[app, label]
 
     # ------------------------------------------------------------------
     def run_traced(
@@ -499,28 +461,12 @@ class Runner:
         report itself is still deterministic and field-identical (minus
         ``timeline``) to an untraced run of the same cell.
         """
+        cell = self.cell(app, scheme)
         reset_request_ids()
-        if self.tenants is not None:
-            from repro.workloads.tenant_mix import TenantMix
-
-            workload = TenantMix(
-                self.tenants, scale=self.scale, seed=self.seed
-            )
-        else:
-            workload = get_workload(app, scale=self.scale, seed=self.seed)
+        workload = cell.workload()
         hub = MetricsHub(window_cycles=window_cycles)
         system = GPUSystem.from_spec(
-            SimSpec(
-                scheduler=scheme, device=self.device, config=self.config,
-                ecc=self.ecc,
-                faults=(
-                    self.fault_model if self.fault_model is not None
-                    else FaultConfig()
-                ),
-                tenants=self.tenants,
-            ),
-            log_commands=log_commands,
-            telemetry=hub,
+            cell.spec, log_commands=log_commands, telemetry=hub
         )
         start = time.perf_counter()
         report = system.run(
@@ -556,10 +502,13 @@ class Runner:
         attempt re-seeds the request-id counter and simulates from
         scratch.
 
-        A cell that fails all ``1 + retries`` attempts is quarantined.
-        With ``keep_going`` (argument overrides the runner default) the
-        returned :class:`MatrixResult` carries every healthy cell plus
-        the failure manifest; otherwise the sweep still *completes* the
+        A cell that fails all ``1 + retries`` attempts is quarantined
+        for the rest of the runner's life: a later request for it (say,
+        a figure reading its sweep cell by cell) reports the recorded
+        failure instead of simulating again. With ``keep_going``
+        (argument overrides the runner default) the returned
+        :class:`MatrixResult` carries every healthy cell plus the
+        failure manifest; otherwise the sweep still *completes* the
         remaining cells and then raises
         :class:`~repro.errors.CellFailedError`.
         """
@@ -569,28 +518,27 @@ class Runner:
         specs: dict[str, tuple[CellSpec, str]] = {}
         for app in apps:
             for label, scheme in schemes.items():
-                error = measure_error and scheme.ams.mode.value != "off"
-                spec = self._spec(app, scheme, error)
-                key = spec.key
+                cell = self.cell(app, scheme, measure_error)
+                key = cell.key
                 cells[(app, label)] = key
                 # First label wins for logging; the report is identical.
-                specs.setdefault(key, (spec, label))
+                specs.setdefault(key, (cell, label))
+        failed = {f.key: f for f in self.failures}
         todo: dict[str, tuple[CellSpec, str]] = {}
-        for key, (spec, label) in specs.items():
-            if key in self._memo:
+        for key, (cell, label) in specs.items():
+            if key in self._memo or key in failed:
                 continue
             if self.cache is not None:
                 cached = self.cache.load(key)
                 if cached is not None:
-                    self._log(spec.app, label, "disk cache hit")
+                    self._log(cell.app, label, "disk cache hit")
                     self._memo[key] = cached
                     continue
-            todo[key] = (spec, label)
-        failures: list[CellFailure] = []
+            todo[key] = (cell, label)
         if todo:
             tasks = [
-                _CellTask(key=key, spec=spec, label=label, index=i)
-                for i, (key, (spec, label)) in enumerate(todo.items())
+                _CellTask(key=key, cell=cell, label=label, index=i)
+                for i, (key, (cell, label)) in enumerate(todo.items())
             ]
             use_pool = (
                 not self.profile  # workers cannot be profiled from here
@@ -600,23 +548,26 @@ class Runner:
                 )
             )
             if use_pool:
-                failures = self._run_supervised(tasks, max(jobs, 1))
+                new = self._run_supervised(tasks, max(jobs, 1))
             else:
-                failures = self._run_serial(tasks)
-            self.failures.extend(failures)
+                new = self._run_serial(tasks)
+            self.failures.extend(new)
+            failed.update((f.key, f) for f in new)
         result = MatrixResult()
-        result.failures = failures
-        failed_by_key = {f.key: f for f in failures}
         for cell, key in cells.items():
             if key in self._memo:
                 result[cell] = self._memo[key]
-            elif key in failed_by_key:
-                result.failed_cells[cell] = failed_by_key[key]
-        if failures and not keep_going:
+            elif key in failed:
+                result.failed_cells[cell] = failed[key]
+        result.failures = list(
+            {f.key: f for f in result.failed_cells.values()}.values()
+        )
+        if result.failures and not keep_going:
             raise CellFailedError(
-                f"{len(failures)} matrix cell(s) failed after retries: "
-                + "; ".join(f.summary() for f in failures),
-                failures=failures,
+                f"{len(result.failures)} matrix cell(s) failed after "
+                "retries: "
+                + "; ".join(f.summary() for f in result.failures),
+                failures=result.failures,
             )
         return result
 
@@ -649,13 +600,13 @@ class Runner:
             failures.append(failure)
             self.metrics.inc(HARNESS_QUARANTINED)
             self._log(
-                task.spec.app, task.label,
+                task.cell.app, task.label,
                 f"quarantined: {failure.error_type}: {failure.message}",
             )
             return False
         self.metrics.inc(HARNESS_RETRIES)
         self._log(
-            task.spec.app, task.label,
+            task.cell.app, task.label,
             f"attempt {task.attempts} failed ({type(exc).__name__}: {exc}); "
             f"retrying in {self._backoff_delay(task):.2f}s",
         )
@@ -668,13 +619,7 @@ class Runner:
             while True:
                 start = time.perf_counter()
                 try:
-                    report, elapsed = self._simulate_inline(
-                        task.spec,
-                        task.label,
-                        faults=self.faults,
-                        cell_index=task.index,
-                        attempt=task.attempts + 1,
-                    )
+                    report, elapsed = self._simulate_inline(task)
                 except Exception as exc:
                     wasted = time.perf_counter() - start
                     if not self._charge_attempt(
@@ -683,10 +628,7 @@ class Runner:
                         break
                     time.sleep(self._backoff_delay(task))
                 else:
-                    self._finish(
-                        task.key, task.spec, task.label, report, elapsed,
-                        chaos_index=task.index,
-                    )
+                    self._finish(task, report, elapsed)
                     break
         return failures
 
@@ -741,7 +683,7 @@ class Runner:
                 return
             futures = pool.submit_many([
                 (
-                    task.key, task.spec, self.faults,
+                    task.key, task.cell, self.faults,
                     task.index, task.attempts + 1,
                 )
                 for task in batch
@@ -790,17 +732,14 @@ class Runner:
             for future in done:
                 task, submitted, _ = running.pop(future)
                 try:
-                    key, report, elapsed = future.result()
+                    _, report, elapsed = future.result()
                 except Exception as exc:
                     # Includes WorkerCrashError set by the pool when a
                     # worker died: only that worker's cells land here,
                     # and its slot has already respawned.
                     fail_attempt(task, exc, now - submitted)
                 else:
-                    self._finish(
-                        key, task.spec, task.label, report, elapsed,
-                        chaos_index=task.index,
-                    )
+                    self._finish(task, report, elapsed)
             if not done:
                 expired = [
                     (future, task, submitted)
@@ -816,7 +755,7 @@ class Runner:
                     fail_attempt(
                         task,
                         CellTimeoutError(
-                            f"{task.spec.app}/{task.label} exceeded "
+                            f"{task.cell.app}/{task.label} exceeded "
                             f"the {self.cell_timeout:.1f}s per-cell "
                             "wall-clock timeout"
                         ),

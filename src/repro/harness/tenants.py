@@ -5,8 +5,8 @@ intrinsic counters (finish time, served, drops, activations); what they
 *mean* requires each tenant's **solo baseline** — the same workload at
 the same effective scale and seed, simulated alone under the same scheme
 and device. :func:`attach_slowdowns` runs (or cache-loads) those
-baselines through a sub-:class:`~repro.harness.runner.Runner` that
-shares the parent's disk cache, then fills in ``solo_mem_cycles``,
+baselines through a runner derived from the parent's (same spec minus
+the mix, same cache), then fills in ``solo_mem_cycles``,
 ``slowdown = finish / solo``, and the mix-wide Jain fairness index.
 
 Slowdown and fairness are **presentation data**: the runner persists the
@@ -66,18 +66,11 @@ def solo_baseline(
     baseline replays the very same warp stream under the very same
     per-request policy — just without neighbours.
     """
-    from repro.harness.runner import Runner
-
-    sub = Runner(
+    sub = replace(
+        runner,
         scale=runner.scale * tenant.scale,
         seed=tenant.seed if tenant.seed is not None else runner.seed,
-        config=runner.config,
-        device=runner.device,
-        ecc=runner.ecc,
-        fault_model=runner.fault_model,
-        verbose=runner.verbose,
-        cache=runner.cache,
-        metrics=runner.metrics,
+        spec=replace(runner.spec, tenants=None),
     )
     return sub.run(
         tenant.workload,

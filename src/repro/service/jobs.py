@@ -23,7 +23,6 @@ replay in milliseconds even after thousands of jobs.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 import os
@@ -34,7 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ConfigError, JobStateError
-from repro.harness.cache import cache_key
+from repro.harness.runner import CellSpec
 from repro.sim.spec import SimSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -81,22 +80,11 @@ def new_job_id() -> str:
 def job_content_key(
     app: str, scale: float, seed: int, spec: SimSpec
 ) -> str:
-    """The cache content key identifying a job's simulation cell.
-
-    Matches :class:`~repro.harness.runner.CellSpec.key` exactly —
-    including the runner's normalisation of ``measure_error`` (a replay
-    with AMS off is a no-op, so the runner strips the flag and the key
-    must agree or coalescing/cache admission would miss).
-    """
-    effective_error = (
-        spec.measure_error and spec.scheduler.ams.mode.value != "off"
-    )
-    return cache_key(
-        app=app,
-        scale=scale,
-        seed=seed,
-        spec=dataclasses.replace(spec, measure_error=effective_error),
-    )
+    """The cache content key identifying a job's simulation cell — the
+    key of the :class:`~repro.harness.runner.CellSpec` the worker tier
+    simulates, so coalescing and cache admission agree with the CLI
+    runner on every spec field."""
+    return CellSpec(app=app, scale=scale, seed=seed, spec=spec).key
 
 
 def _apply_priority_class(spec_payload: Any, priority: int) -> Any:
@@ -234,6 +222,13 @@ class Job:
         )
 
     # ------------------------------------------------------------------
+    @property
+    def cell(self) -> CellSpec:
+        """The simulation cell this job runs; :attr:`key` is its key."""
+        return CellSpec(
+            app=self.app, scale=self.scale, seed=self.seed, spec=self.spec
+        )
+
     @property
     def terminal(self) -> bool:
         """Whether the job has reached a final state."""

@@ -80,7 +80,6 @@ from repro.dram.request import reset_request_ids
 from repro.errors import ConfigError, JobStateError
 from repro.harness.cache import ResultCache
 from repro.harness.faults import CellFailure, FaultPlan
-from repro.harness.runner import Runner
 from repro.harness.schemes import WINDOW_CYCLES
 from repro.service.breaker import CircuitBreaker, RejectedByBreaker
 from repro.service.jobs import (
@@ -108,7 +107,6 @@ from repro.telemetry.hub import (
     SERVICE_STALE_SERVED,
     SERVICE_SUBMITTED,
 )
-from repro.workloads.registry import get_workload
 
 #: Default TCP port (unassigned by IANA; "DRAM" on a phone keypad is
 #: taken, so this is simply stable and memorable for local use).
@@ -148,10 +146,9 @@ class ServiceDaemon:
 
     ``workers=0`` is admission-only mode (jobs queue but never run) —
     useful for tests exercising backpressure and cancellation
-    deterministically.  ``process_tier=False`` keeps the PR 5 behaviour
-    of executing every job on daemon threads (no crash isolation); the
-    default runs non-telemetry jobs on the supervised
-    :class:`~repro.service.workers.WorkerTier` of simulator processes.
+    deterministically.  Otherwise non-telemetry jobs run on the
+    supervised :class:`~repro.service.workers.WorkerTier` of simulator
+    processes, and telemetry jobs on daemon threads.
     """
 
     def __init__(
@@ -170,7 +167,6 @@ class ServiceDaemon:
         window_cycles: int = WINDOW_CYCLES,
         sse_poll_seconds: float = 0.05,
         sse_ring_events: int = DEFAULT_RING_EVENTS,
-        process_tier: bool = True,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 60.0,
         shed_watermark: float = 0.75,
@@ -194,7 +190,6 @@ class ServiceDaemon:
         self.window_cycles = window_cycles
         self.sse_poll_seconds = sse_poll_seconds
         self.sse_ring_events = sse_ring_events
-        self.process_tier = process_tier
         self.shed_watermark = shed_watermark
         self.chaos = chaos
         #: Sqlite results warehouse served read-only by the
@@ -207,7 +202,7 @@ class ServiceDaemon:
             threshold=breaker_threshold, cooldown=breaker_cooldown
         )
         #: Supervised process tier (built in :meth:`_serve`); None in
-        #: admission-only or ``process_tier=False`` mode.
+        #: admission-only mode.
         self.tier: Optional[WorkerTier] = None
         #: (app, scale, seed, scheduler name, device, ecc) -> content
         #: key of the last *completed* report — the stale-serving index
@@ -286,7 +281,7 @@ class ServiceDaemon:
             max_workers=max(1, self.workers),
             thread_name_prefix="repro-sim",
         )
-        if self.workers > 0 and self.process_tier:
+        if self.workers > 0:
             self.tier = WorkerTier(
                 self.workers,
                 retries=self.retries,
@@ -308,7 +303,6 @@ class ServiceDaemon:
         self._log(
             f"serving on http://{self.host}:{self.port} "
             f"(workers={self.workers}"
-            f"{' [process tier]' if self.tier else ''}, "
             f"queue={self.queue_size}, "
             f"cache={self.cache.root if self.cache.enabled else 'off'})"
         )
@@ -461,14 +455,14 @@ class ServiceDaemon:
             self._running[job.id] = job
             started = time.monotonic()
             try:
-                if self.tier is not None and not job.spec.telemetry:
+                if job.spec.telemetry:
+                    report = await self._loop.run_in_executor(
+                        self._executor, self._execute_streaming, job
+                    )
+                else:
                     report = await self.tier.execute(job)
                     await self._loop.run_in_executor(
                         self._executor, self._store_result, job, report
-                    )
-                else:
-                    report = await self._loop.run_in_executor(
-                        self._executor, self._execute_sync, job
                     )
             except TierExecutionFailed as exc:
                 self._note_failure(
@@ -500,78 +494,25 @@ class ServiceDaemon:
                 self._running.pop(job.id, None)
                 self.queue.release(job)
 
-    @staticmethod
-    def _job_meta(job: Job) -> dict:
-        """Warehouse sidecar stored next to a job's cache blob (mirrors
-        ``CellSpec.cache_meta`` so CLI- and service-produced blobs
-        ingest identically)."""
-        return {
-            "app": job.app,
-            "scale": job.scale,
-            "seed": job.seed,
-            "spec": job.spec.to_dict(),
-        }
-
     def _store_result(self, job: Job, report: SimReport) -> None:
         """Persist a tier-produced report (the tier's workers compute;
         the daemon owns the cache) — runs on an executor thread."""
         self.hub.inc(SERVICE_SIMULATIONS)
         if self.cache.enabled:
-            self.cache.store(job.key, report, meta=self._job_meta(job))
+            self.cache.store(job.key, report, meta=job.cell.cache_meta)
 
     # ------------------------------------------------------------------
-    # Simulation execution (runs in executor threads)
+    # Telemetry jobs (run in executor threads)
     # ------------------------------------------------------------------
-    def _execute_sync(self, job: Job) -> SimReport:
-        if job.spec.telemetry:
-            return self._execute_streaming(job)
-        return self._execute_runner(job)
-
-    def _execute_runner(self, job: Job) -> SimReport:
-        """Run through the harness Runner: retries, backoff, and (with
-        ``cell_timeout``) the supervised, self-healing process pool."""
-        spec = job.spec
-        label = spec.scheduler.name
-        runner = Runner(
-            scale=job.scale,
-            seed=job.seed,
-            config=spec.config,
-            device=spec.device,
-            ecc=spec.ecc,
-            fault_model=spec.faults,
-            tenants=spec.tenants,
-            verbose=False,
-            jobs=1,
-            cache=self.cache if self.cache.enabled else None,
-            retries=self.retries,
-            retry_backoff=self.retry_backoff,
-            cell_timeout=self.cell_timeout,
-            keep_going=True,
-            faults=None,
-            metrics=self.hub,
-        )
-        result = runner.run_matrix(
-            [job.app],
-            {label: spec.scheduler},
-            measure_error=spec.measure_error,
-        )
-        if runner.simulations_run:
-            self.hub.inc(SERVICE_SIMULATIONS, runner.simulations_run)
-        if result.failures:
-            failure = result.failures[0]
-            job.attempts = failure.attempts
-            raise _JobFailed(failure)
-        job.attempts = max(job.attempts, 1)
-        return result[(job.app, label)]
-
     def _execute_streaming(self, job: Job) -> SimReport:
         """In-process execution with a live telemetry hub attached, so
         the SSE streamer can watch windows arrive mid-run. Same retry
-        policy and :class:`CellFailure` records as the Runner path, but
+        policy and :class:`CellFailure` records as the worker tier, but
         no preemptive ``cell_timeout`` (an in-thread simulation cannot
         be killed; use a non-telemetry spec when you need hard kills).
         """
-        spec = job.spec
+        cell = job.cell
+        spec = cell.spec
         attempts = 0
         elapsed = 0.0
         while True:
@@ -580,9 +521,7 @@ class ServiceDaemon:
             start = time.perf_counter()
             try:
                 reset_request_ids()
-                workload = get_workload(
-                    job.app, scale=job.scale, seed=job.seed
-                )
+                workload = cell.workload()
                 hub = MetricsHub(window_cycles=self.window_cycles)
                 job.live_hub = hub
                 report = simulate_spec(workload, spec, telemetry=hub)
@@ -611,7 +550,7 @@ class ServiceDaemon:
                 self.hub.inc(SERVICE_SIMULATIONS)
                 if self.cache.enabled:
                     self.cache.store(
-                        job.key, report, meta=self._job_meta(job)
+                        job.key, report, meta=cell.cache_meta
                     )
                 return report
 
@@ -782,10 +721,7 @@ class ServiceDaemon:
             if doc["tier"]["state"] != "ok":
                 doc["ok"] = doc["tier"]["state"] != "down"
         else:
-            doc["tier"] = {
-                "state": "in-process",
-                "size": self.workers,
-            }
+            doc["tier"] = {"state": "admission-only", "size": 0}
         return doc
 
     def stats_doc(self) -> dict:
@@ -1009,7 +945,7 @@ class ServiceDaemon:
         an immediate 429 with a truthful Retry-After is kinder than a
         deep queue slot.  Shedding happens before any cache probe: an
         overloaded daemon spares itself even the disk read."""
-        if self.tier is None or self.workers == 0:
+        if self.tier is None:
             return False
         return (
             len(self._running) >= self.workers

@@ -104,11 +104,7 @@ class WorkerTier:
         self.chaos = chaos
         self.heartbeat_seconds = heartbeat_seconds
         self.metrics = metrics
-        self.pool = WarmPool(
-            size,
-            threads=False,
-            on_rebuild=self._on_rebuild,
-        )
+        self.pool = WarmPool(size, on_rebuild=self._on_rebuild)
         #: Tier-wide dispatch ordinal: jobs in first-dispatch order.
         #: This is the ``cell`` a chaos plan addresses.
         self._dispatches = 0
@@ -200,27 +196,6 @@ class WorkerTier:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _cell_of(self, job: "Job"):
-        from repro.harness.runner import CellSpec
-
-        spec = job.spec
-        return CellSpec(
-            app=job.app,
-            scale=job.scale,
-            seed=job.seed,
-            config=spec.config,
-            scheme=spec.scheduler,
-            measure_error=(
-                spec.measure_error
-                and spec.scheduler.ams.mode.value != "off"
-            ),
-            device=spec.device,
-            ecc=spec.ecc,
-            faults=spec.faults,
-            record_activations=spec.record_activations,
-            tenants=spec.tenants,
-        )
-
     async def execute(self, job: "Job") -> SimReport:
         """Run one job on the tier; returns its report or raises
         :class:`TierExecutionFailed` after ``1 + retries`` attempts.
@@ -242,7 +217,7 @@ class WorkerTier:
                 ),
                 fatal=False,
             )
-        cell = self._cell_of(job)
+        cell = job.cell
         ordinal = self._dispatches
         self._dispatches += 1
         loop = asyncio.get_running_loop()

@@ -10,15 +10,15 @@ __all__ = [
     "L2Summary",
     "SimReport",
     "SimSpec",
-    "simulate",
     "simulate_spec",
 ]
 
 
 def __getattr__(name: str):
-    # GPUSystem/simulate import the gpu frontend, which itself imports
-    # repro.sim.engine; loading them lazily breaks the package-init cycle.
-    if name in ("GPUSystem", "simulate", "simulate_spec"):
+    # GPUSystem/simulate_spec import the gpu frontend, which itself
+    # imports repro.sim.engine; loading them lazily breaks the
+    # package-init cycle.
+    if name in ("GPUSystem", "simulate_spec"):
         from repro.sim import system
 
         return getattr(system, name)

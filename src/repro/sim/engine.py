@@ -4,40 +4,34 @@ Events execute in strict ``(time, insertion sequence)`` order; all times
 are in *memory clock cycles* (see DESIGN.md §5). Insertion order breaks
 ties, making runs fully deterministic.
 
-The ordering structure is pluggable (``backend=``): the default is the
-bucketed timer wheel of :mod:`repro.sim.events`, with the seed's global
-binary heap kept as the reference implementation. Both share tombstone
-cancellation: :meth:`Engine.at` returns an opaque handle that
-:meth:`Engine.cancel` invalidates in O(1) by blanking the entry's slot;
-a tombstoned entry is discarded unexecuted — and uncounted — when it
-surfaces, so superseded wake-ups cost one pop instead of a full
-callback, and :attr:`live_event_count` stays exact.
+The ordering structure is the bucketed timer wheel of
+:mod:`repro.sim.events`. It uses tombstone cancellation: :meth:`Engine.at`
+returns an opaque handle that :meth:`Engine.cancel` invalidates in O(1)
+by blanking the entry's slot; a tombstoned entry is discarded unexecuted
+— and uncounted — when it surfaces, so superseded wake-ups cost one pop
+instead of a full callback, and :attr:`live_event_count` stays exact.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import make_scheduler
+from repro.sim.events import WheelScheduler
 
 Event = Callable[[], None]
 
-#: Environment override for the default scheduling backend (the
-#: wheel/heap differential runs set this instead of threading a
-#: parameter through every system constructor).
-_BACKEND_ENV = "REPRO_ENGINE_BACKEND"
-
 
 class Engine:
-    """Deterministic event-driven simulation core."""
+    """Deterministic event-driven simulation core.
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        if backend is None:
-            backend = os.environ.get(_BACKEND_ENV, "wheel")
-        self.backend = backend
-        self._sched = make_scheduler(backend)
+    ``scheduler`` replaces the timer wheel with any object offering its
+    ``push``/``cancel``/``head``/``drain``/``live`` interface (the tests
+    inject a plain binary heap as the wheel's differential oracle).
+    """
+
+    def __init__(self, scheduler=None) -> None:
+        self._sched = scheduler if scheduler is not None else WheelScheduler()
         self._push = self._sched.push  # hoisted: one call per event
         self._seq = 0
         self.now: float = 0.0
@@ -114,7 +108,7 @@ class Engine:
         """Process events until the schedule drains, ``until`` is passed,
         or ``max_events`` have run (a deadlock/runaway guard).
 
-        The loop itself lives in the backend's ``drain`` (each backend
+        The loop itself lives in the scheduler's ``drain`` (which
         inlines its own structures); this wrapper folds the processed
         count in and raises the livelock guard.
         """

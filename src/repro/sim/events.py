@@ -1,41 +1,32 @@
-"""Event-scheduling backends for the simulation engine.
+"""Event scheduling for the simulation engine: a bucketed timer wheel.
 
-One scheduling interface, two implementations (see DESIGN.md §5):
+:class:`WheelScheduler` keeps a ring of ``horizon`` one-cycle buckets
+indexed by the quantized event time (``int(time) & mask``), each bucket
+a tiny binary heap ordered by the exact ``(time, seq)`` key, plus an
+overflow heap for events beyond the horizon. Popping scans forward from
+the cursor bucket, which *batch-advances* the wheel across empty cycles
+instead of sifting a global heap per event; almost every DRAM timing
+event lands within a few dozen cycles of ``now``, so the scan is short
+and each bucket heap holds a handful of entries (see DESIGN.md §5). The
+Hypothesis suite in ``tests/test_event_scheduling.py`` checks it
+executes any schedule in the same order as a single global ``heapq``.
 
-* :class:`WheelScheduler` — the default. A bucketed timer wheel: a ring
-  of ``horizon`` one-cycle buckets indexed by the quantized event time
-  (``int(time) & mask``), each bucket a tiny binary heap ordered by the
-  exact ``(time, seq)`` key, plus an overflow heap for events beyond the
-  horizon. Popping scans forward from the cursor bucket, which
-  *batch-advances* the wheel across empty cycles instead of sifting a
-  global heap per event; almost every DRAM timing event lands within a
-  few dozen cycles of ``now``, so the scan is short and each bucket heap
-  holds a handful of entries.
-* :class:`HeapScheduler` — the seed implementation's single global
-  ``heapq`` ordered by ``(time, seq)``. Kept as the reference backend:
-  the Hypothesis suite in ``tests/test_event_scheduling.py`` asserts
-  both backends execute any schedule in the identical order.
-
-Both share the same cancellation design: an O(1) *slot tombstone*.
-``cancel`` looks the handle up in the live-entry table, blanks the
-entry's callback in place, and drops it from the table — no heap
-surgery, no set scan when events surface, and the live count stays
-exact (cancelling an already-executed handle is a no-op). Tombstoned
-slots are discarded unexecuted when they reach the head.
+Cancellation is an O(1) *slot tombstone*: ``cancel`` looks the handle
+up in the live-entry table, blanks the entry's callback in place, and
+drops it from the table — no heap surgery, no set scan when events
+surface, and the live count stays exact (cancelling an already-executed
+handle is a no-op). Tombstoned slots are discarded unexecuted when they
+reach the head.
 
 Entries are mutable 3-lists ``[time, seq, fn]`` so the tombstone can be
 written in place; list comparison never reaches the callback slot
 because ``seq`` is unique.
 
-The pop protocol is split into :meth:`head` (prune tombstones, return
-the next live entry without removing it) and :meth:`pop_head` (remove
-the entry :meth:`head` just returned), so idle/peek queries can check
-the head time before committing to the pop — exactly the seed
-semantics. The engine's run loop itself goes through :meth:`drain`,
-which each backend implements with its own structures inlined: the
-dispatch overhead of head/pop calls per event is measurable at the
-simulator's event rates, and ``drain`` is the only place allowed to
-know the backend's internals.
+:meth:`WheelScheduler.head` prunes tombstones and returns the next live
+entry without removing it, for idle/peek queries. The engine's run loop
+goes through :meth:`WheelScheduler.drain`, which inlines the wheel's
+structures: the dispatch overhead of a head/pop call pair per event is
+measurable at the simulator's event rates.
 """
 
 from __future__ import annotations
@@ -55,81 +46,6 @@ Entry = list
 #: hops); longer-range events (tREFI, profiling windows) overflow to a
 #: heap and are folded back in as the cursor advances.
 WHEEL_HORIZON = 512
-
-
-class HeapScheduler:
-    """Single global binary heap ordered by ``(time, seq)``."""
-
-    __slots__ = ("_heap", "_entries", "live")
-
-    def __init__(self) -> None:
-        self._heap: list[Entry] = []
-        #: handle (seq) -> live entry, for O(1) tombstone cancellation.
-        self._entries: dict[int, Entry] = {}
-        #: Live (scheduled, uncancelled, unexecuted) entry count.
-        self.live = 0
-
-    def push(self, time: float, seq: int, fn: Event) -> None:
-        entry = [time, seq, fn]
-        self._entries[seq] = entry
-        heappush(self._heap, entry)
-        self.live += 1
-
-    def cancel(self, seq: int) -> bool:
-        entry = self._entries.pop(seq, None)
-        if entry is None:
-            return False
-        entry[2] = None
-        self.live -= 1
-        return True
-
-    def head(self) -> Optional[Entry]:
-        heap = self._heap
-        while heap:
-            if heap[0][2] is None:
-                heappop(heap)
-            else:
-                return heap[0]
-        return None
-
-    def pop_head(self) -> None:
-        entry = heappop(self._heap)
-        del self._entries[entry[1]]
-        self.live -= 1
-
-    def drain(
-        self,
-        engine,
-        until: Optional[float],
-        max_events: Optional[int],
-    ) -> tuple[int, bool]:
-        """Run the event loop; returns ``(processed, hit_max_events)``.
-
-        Semantically identical to repeated head/pop_head calls — same
-        ``(time, seq)`` order, same ``until`` cutoff *before* the pop —
-        with the backend internals inlined into the loop.
-        """
-        heap = self._heap
-        entries = self._entries
-        processed = 0
-        while heap:
-            entry = heap[0]
-            fn = entry[2]
-            if fn is None:
-                heappop(heap)
-                continue
-            time = entry[0]
-            if until is not None and time > until:
-                break
-            heappop(heap)
-            del entries[entry[1]]
-            self.live -= 1
-            engine.now = time
-            fn()
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                return processed, True
-        return processed, False
 
 
 class WheelScheduler:
@@ -222,13 +138,6 @@ class WheelScheduler:
                         continue
                 base += 1
 
-    def pop_head(self) -> None:
-        bucket = self._buckets[self._base & self._mask]
-        entry = heappop(bucket)
-        self._in_wheel -= 1
-        del self._entries[entry[1]]
-        self.live -= 1
-
     def drain(
         self,
         engine,
@@ -296,22 +205,3 @@ class WheelScheduler:
                 if max_events is not None and processed >= max_events:
                     return processed, True
         return processed, False
-
-
-#: Registry of engine scheduling backends (the wheel/heap choice).
-SCHEDULER_BACKENDS = {
-    "wheel": WheelScheduler,
-    "heap": HeapScheduler,
-}
-
-
-def make_scheduler(name: str):
-    """Instantiate the scheduling backend ``name`` (``wheel``/``heap``)."""
-    try:
-        cls = SCHEDULER_BACKENDS[name]
-    except KeyError:
-        raise SimulationError(
-            f"unknown engine backend {name!r}; "
-            f"known: {', '.join(sorted(SCHEDULER_BACKENDS))}"
-        ) from None
-    return cls()

@@ -2,9 +2,10 @@
 
 A :class:`SimSpec` is the single value that says *how* to simulate:
 which scheduler scheme, which DRAM device, any GPU-configuration
-overrides, and the observability/error flags. It replaces the scattered
-``simulate(...)`` keyword arguments and flows unchanged through the
-:class:`~repro.harness.runner.Runner`, the persistent result cache key,
+overrides, and the observability/error flags. It flows unchanged
+through :func:`~repro.sim.system.simulate_spec`, the
+:class:`~repro.harness.runner.Runner` (whose cells are its spec with the
+scheme put in), the persistent result cache key, the service's job keys,
 and the CLI's ``--device``/``--scheme`` options — one object, one JSON
 form, one fingerprint.
 
@@ -108,9 +109,9 @@ class SimSpec:
         """Deterministic 64-bit seed derived from the spec content.
 
         Seeds the fault injector so flip sites are a pure function of
-        the spec — identical across serial, ``--jobs N``, and
-        ``--threads`` execution, and stable across sessions (no Python
-        hash randomisation involved).
+        the spec — identical across serial and ``--jobs N`` execution,
+        and stable across sessions (no Python hash randomisation
+        involved).
         """
         canonical = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")

@@ -1,7 +1,7 @@
 """Full-system assembly: SM frontend + crossbars + L2 slices + MCs.
 
 This wires the substrates into the architecture of paper Fig. 1/9 and
-exposes :func:`simulate`, the package's main entry point.
+exposes :func:`simulate_spec`, the package's main entry point.
 """
 
 from __future__ import annotations
@@ -464,39 +464,3 @@ def simulate_spec(
             workload, report.drops, config=system.config
         )
     return report
-
-
-def simulate(
-    workload: "Workload",
-    *,
-    scheduler: Optional[SchedulerConfig] = None,
-    config: Optional[GPUConfig] = None,
-    device: Optional[str] = None,
-    record_activations: bool = True,
-    measure_error: bool = False,
-    telemetry: Optional[MetricsHub] = None,
-) -> SimReport:
-    """Simulate ``workload`` under ``scheduler`` on the Table I GPU.
-
-    Compatibility shim over :func:`simulate_spec`, kept for the
-    pre-:class:`SimSpec` call sites (deprecated; new code should build a
-    :class:`~repro.sim.spec.SimSpec` and call :func:`simulate_spec`).
-    The keyword arguments map one-to-one onto spec fields and behaviour
-    is identical.
-    """
-    import warnings
-
-    warnings.warn(
-        "simulate(scheduler=..., config=...) is deprecated; build a "
-        "SimSpec and call simulate_spec(workload, spec) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = SimSpec(
-        scheduler=scheduler if scheduler is not None else baseline_scheduler(),
-        device=device,
-        config=config,
-        measure_error=measure_error,
-        record_activations=record_activations,
-    )
-    return simulate_spec(workload, spec, telemetry=telemetry)

@@ -4,7 +4,7 @@ Telemetry is *strictly opt-in*. Components receive :data:`NULL_HUB` by
 default — a singleton whose methods are no-ops — so the simulator's hot
 path pays nothing when observability is off. Passing a real
 :class:`MetricsHub` to :class:`~repro.sim.system.GPUSystem` (or
-``simulate(..., telemetry=hub)``) turns on:
+``simulate_spec(..., telemetry=hub)``) turns on:
 
 * named **counters** (monotonic, e.g. ``"mc0.ams.drops"``) and
   **gauges** (last-value, e.g. ``"mc0.dms.x"``) that instrumented

@@ -3,8 +3,8 @@
 The flip sites are a pure function of the SimSpec content (seed,
 channel, request id), never of execution order — so the same spec must
 produce bit-identical reports (including the injection site digest)
-whether the matrix runs serially, across worker processes, or on
-threads. The second half pins the cache semantics: v3 blobs and any
+whether the matrix runs serially or across worker processes. The second
+half pins the cache semantics: v3 blobs and any
 ``ecc``/``faults`` change miss under the v4 key format.
 """
 
@@ -31,7 +31,7 @@ SCHEMES = {
 
 def make_runner(**overrides) -> Runner:
     kwargs = dict(
-        scale=SCALE, seed=SEED, ecc="secded", fault_model=FAULTS,
+        scale=SCALE, seed=SEED, spec=SimSpec(ecc="secded", faults=FAULTS),
         verbose=False, cache=None,
     )
     kwargs.update(overrides)
@@ -64,11 +64,6 @@ class TestExecutionBackendDeterminism:
         serial = run_matrix(make_runner(jobs=1))
         fanned = run_matrix(make_runner(jobs=2))
         assert fanned == serial
-
-    def test_thread_fanout_matches_serial(self) -> None:
-        serial = run_matrix(make_runner(jobs=1))
-        threaded = run_matrix(make_runner(jobs=2, threads=True))
-        assert threaded == serial
 
     def test_different_seed_moves_the_flip_sites(self) -> None:
         base = run_matrix(make_runner())
@@ -115,8 +110,7 @@ class TestCacheInvalidation:
 
     def test_v3_blob_is_a_plain_miss(self, tmp_path) -> None:
         runner = make_runner(
-            ecc="none", fault_model=None,
-            cache=ResultCache(tmp_path, enabled=True),
+            spec=SimSpec(), cache=ResultCache(tmp_path, enabled=True),
         )
         try:
             report = runner.run(APP, SchedulerConfig(), label="Baseline")

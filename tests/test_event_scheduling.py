@@ -1,29 +1,111 @@
-"""Property suites for the scheduling backends and the warm pool.
+"""Property suites for the engine's timer wheel and the warm pool.
 
 Two families:
 
 * **Wheel vs. heap equivalence** — the bucketed timer wheel is the
-  default engine backend purely as an optimization; the seed's global
-  heap remains the reference. Hypothesis drives both backends through
-  identical schedules (fractional times, past-clamped times, overflow
-  beyond the wheel horizon, nested pushes from callbacks, cancellation
-  — including cancellation *during* the run — plus ``until`` cutoffs
-  and the ``max_events`` guard) and asserts the execution logs are
-  identical event for event.
-* **Warm-pool determinism** — a matrix simulated serially, over warm
-  worker processes, and over worker threads must produce
-  field-identical reports (the codec round trip and the thread-local
-  request-id counter are load-bearing here).
+  engine's scheduler purely as an optimization; a single global binary
+  heap (:class:`HeapScheduler`, below) is the reference. Hypothesis
+  drives both through identical schedules (fractional times,
+  past-clamped times, overflow beyond the wheel horizon, nested pushes
+  from callbacks, cancellation — including cancellation *during* the
+  run — plus ``until`` cutoffs and the ``max_events`` guard) and asserts
+  the execution logs are identical event for event.
+* **Warm-pool determinism** — a matrix simulated serially and over warm
+  worker processes must produce field-identical reports (the codec
+  round trip is load-bearing here).
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
+from typing import Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import WHEEL_HORIZON
+from repro.sim.events import WHEEL_HORIZON, Entry, Event
+
+
+class HeapScheduler:
+    """Single global binary heap ordered by ``(time, seq)``: the obvious
+    scheduler, kept here as the wheel's differential oracle. Same
+    interface and tombstone cancellation as
+    :class:`~repro.sim.events.WheelScheduler`."""
+
+    __slots__ = ("_heap", "_entries", "live")
+
+    def __init__(self) -> None:
+        self._heap: list[Entry] = []
+        #: handle (seq) -> live entry, for O(1) tombstone cancellation.
+        self._entries: dict[int, Entry] = {}
+        #: Live (scheduled, uncancelled, unexecuted) entry count.
+        self.live = 0
+
+    def push(self, time: float, seq: int, fn: Event) -> None:
+        entry = [time, seq, fn]
+        self._entries[seq] = entry
+        heappush(self._heap, entry)
+        self.live += 1
+
+    def cancel(self, seq: int) -> bool:
+        entry = self._entries.pop(seq, None)
+        if entry is None:
+            return False
+        entry[2] = None
+        self.live -= 1
+        return True
+
+    def head(self) -> Optional[Entry]:
+        heap = self._heap
+        while heap:
+            if heap[0][2] is None:
+                heappop(heap)
+            else:
+                return heap[0]
+        return None
+
+    def drain(
+        self,
+        engine,
+        until: Optional[float],
+        max_events: Optional[int],
+    ) -> tuple[int, bool]:
+        """Run the event loop; returns ``(processed, hit_max_events)``.
+
+        Semantically identical to repeated head/pop_head calls — same
+        ``(time, seq)`` order, same ``until`` cutoff *before* the pop —
+        with the backend internals inlined into the loop.
+        """
+        heap = self._heap
+        entries = self._entries
+        processed = 0
+        while heap:
+            entry = heap[0]
+            fn = entry[2]
+            if fn is None:
+                heappop(heap)
+                continue
+            time = entry[0]
+            if until is not None and time > until:
+                break
+            heappop(heap)
+            del entries[entry[1]]
+            self.live -= 1
+            engine.now = time
+            fn()
+            processed += 1
+            if max_events is not None and processed >= max_events:
+                return processed, True
+        return processed, False
+
+
+
+def _engine(backend: str) -> Engine:
+    """An engine on the wheel (``"wheel"``) or the oracle (``"heap"``)."""
+    return Engine(HeapScheduler()) if backend == "heap" else Engine()
+
 
 # Times span the wheel generously: fractional sub-cycle offsets (the
 # core-to-memory clock ratio makes most real event times non-integral),
@@ -68,7 +150,7 @@ def _schedules(draw):
 
 def _execute(backend, events, pre_cancels, *, until=None, max_events=None):
     """Run one schedule on ``backend``; returns every observable."""
-    engine = Engine(backend=backend)
+    engine = _engine(backend)
     log: list[tuple[float, object]] = []
     handles: list[int] = []
 
@@ -142,7 +224,7 @@ class TestWheelHeapEquivalence:
         events, pre_cancels = schedule
 
         def two_phase(backend):
-            engine = Engine(backend=backend)
+            engine = _engine(backend)
             log: list[tuple[float, int]] = []
             for i, (time, _, _) in enumerate(events):
                 engine.at(time, lambda i=i: log.append((engine.now, i)))
@@ -157,8 +239,8 @@ class TestWheelHeapEquivalence:
 
 
 class TestWarmPoolDeterminism:
-    def test_serial_pooled_threaded_field_identical(self) -> None:
-        """One matrix, three execution modes, byte-identical reports."""
+    def test_serial_pooled_field_identical(self) -> None:
+        """One matrix, two execution modes, byte-identical reports."""
         from repro.harness.runner import Runner
         from repro.harness.schemes import dms_only, evaluation_schemes
 
@@ -180,9 +262,7 @@ class TestWarmPoolDeterminism:
 
         serial = run(jobs=1)
         pooled = run(jobs=4)
-        threaded = run(jobs=4, threads=True)
         assert serial == pooled
-        assert serial == threaded
 
     def test_pool_survives_across_matrices(self) -> None:
         """The second matrix on one runner reuses the warm workers."""

@@ -253,10 +253,7 @@ class TestWarmPoolSupervision:
             spec = SimSpec(scheduler=scheme_def("frfcfs").build())
             from repro.harness.runner import CellSpec
 
-            cell = CellSpec(
-                app="synthetic", scale=0.05, seed=7, config=None,
-                scheme=spec.scheduler, measure_error=False,
-            )
+            cell = CellSpec(app="synthetic", scale=0.05, seed=7, spec=spec)
             futures = [
                 pool.submit((cell.key, cell, None, i, 1))
                 for i in range(2)
@@ -286,17 +283,6 @@ class TestWarmPoolSupervision:
         assert pool.closed
         with pytest.raises(RuntimeError):
             pool.submit(("k", None, None, 0, 1))
-
-    def test_thread_mode_reports_liveness_only(self):
-        pool = WarmPool(1, threads=True)
-        try:
-            assert pool.ping() == 0
-            assert pool.reap_stale(0.0) == 0
-            states = pool.worker_states()
-            assert states[0]["mode"] == "thread"
-            assert states[0]["alive"] is True
-        finally:
-            pool.close()
 
 
 # ----------------------------------------------------------------------

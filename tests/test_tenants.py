@@ -248,8 +248,8 @@ class TestMixSimulation:
     def test_serial_and_parallel_runner_agree(self) -> None:
         mix = three_tenant_mix()
         scheme = scheme_by_id("static-dms+static-ams")
-        serial = Runner(tenants=mix, cache=None, verbose=False)
-        parallel = Runner(tenants=mix, cache=None, verbose=False, jobs=2)
+        serial = Runner(spec=SimSpec(tenants=mix), cache=None, verbose=False)
+        parallel = Runner(spec=SimSpec(tenants=mix), cache=None, verbose=False, jobs=2)
         try:
             a = serial.run("mix", scheme)
             b = parallel.run_matrix(["mix"], {"s": scheme})[("mix", "s")]
@@ -309,7 +309,7 @@ class TestSlowdowns:
     def test_contended_slowdowns_at_least_one(self) -> None:
         mix = three_tenant_mix()
         scheme = scheme_by_id("static-dms+static-ams")
-        runner = Runner(tenants=mix, cache=None, verbose=False)
+        runner = Runner(spec=SimSpec(tenants=mix), cache=None, verbose=False)
         report = runner.run("mix", scheme)
         attach_slowdowns(report, runner, mix, scheme)
         slows = [t.slowdown for t in report.tenants.tenants]
@@ -337,7 +337,7 @@ class TestSlowdowns:
     def test_fairness_table_renders(self) -> None:
         mix = three_tenant_mix()
         scheme = scheme_by_id("static-dms+static-ams")
-        runner = Runner(tenants=mix, cache=None, verbose=False)
+        runner = Runner(spec=SimSpec(tenants=mix), cache=None, verbose=False)
         report = runner.run("mix", scheme)
         attach_slowdowns(report, runner, mix, scheme)
         text = fairness_table(report.tenants)
@@ -351,7 +351,7 @@ class TestSlowdowns:
 class TestTenantTelemetry:
     def test_per_tenant_series_recorded(self) -> None:
         mix = three_tenant_mix()
-        runner = Runner(tenants=mix, cache=None, verbose=False)
+        runner = Runner(spec=SimSpec(tenants=mix), cache=None, verbose=False)
         report, system, hub = runner.run_traced(
             "mix", scheme_by_id("static-dms+static-ams"),
             window_cycles=1024, log_commands=False,
