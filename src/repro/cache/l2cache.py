@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.cache.mshr import MSHRFile
 from repro.config.gpu import L2Config
@@ -187,11 +187,6 @@ class L2Cache:
         """Whether the line holding ``addr`` is resident."""
         line = self.line_of(addr)
         return line in self._sets[self.set_of(line)]
-
-    def resident_lines(self) -> Iterable[int]:
-        """All resident line addresses (test/diagnostic helper)."""
-        for way in self._sets:
-            yield from way.keys()
 
     def find_nearest_resident(
         self, addr: int, radius_sets: int

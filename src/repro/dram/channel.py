@@ -80,15 +80,6 @@ class Channel:
             t += self._bus_free - data_start
         return t
 
-    def switch_start_time(self, bank: Bank, now: float) -> float:
-        """Earliest issue time of the *first* command of a row switch.
-
-        For an open bank this is the PRE; for a closed bank the ACT.
-        """
-        if bank.is_open:
-            return self.precharge_ready_time(bank, now)
-        return self.activate_ready_time(bank, now)
-
     def precharge_ready_time(self, bank: Bank, now: float) -> float:
         """Earliest legal PRE issue time for an open bank."""
         return max(bank.earliest_precharge_time(now), self._next_cmd_time)

@@ -27,11 +27,6 @@ class EnergyBreakdown:
     ecc_nj: float = 0.0
 
     @property
-    def dynamic_nj(self) -> float:
-        """Row plus access energy."""
-        return self.row_nj + self.access_nj
-
-    @property
     def total_nj(self) -> float:
         """All components."""
         return (

@@ -27,19 +27,11 @@ class Crossbar:
         self._latency = latency_mem_cycles
         self._port_cycles = port_cycles
         self._port_free = [0.0] * num_ports
-        self.packets = 0
-        self.total_queuing = 0.0
 
     def deliver(self, port: int, fn) -> None:
         """Send a packet toward ``port``; ``fn`` runs on arrival."""
         now = self._engine.now
         start = max(now, self._port_free[port])
         self._port_free[port] = start + self._port_cycles
-        self.total_queuing += start - now
-        self.packets += 1
         self._engine.at(start + self._latency, fn)
 
-    @property
-    def mean_queuing(self) -> float:
-        """Average port-queuing delay per packet (memory cycles)."""
-        return self.total_queuing / self.packets if self.packets else 0.0

@@ -23,14 +23,12 @@ Controls:
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.config.gpu import GPUConfig
 from repro.config.scheduler import SchedulerConfig
@@ -59,32 +57,6 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 _ENV_DISABLE = "REPRO_NO_CACHE"
 _ENV_DIR = "REPRO_CACHE_DIR"
-
-
-def _jsonable(value: Any) -> Any:
-    """Canonical JSON-serializable form of a config value."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
-    return value
-
-
-def config_fingerprint(
-    scheduler: SchedulerConfig, config: Optional[GPUConfig]
-) -> dict:
-    """Canonical dict of every field of both configuration trees."""
-    return {
-        "scheduler": _jsonable(scheduler),
-        "gpu": _jsonable(config if config is not None else GPUConfig()),
-    }
 
 
 def cache_key(

@@ -18,27 +18,36 @@ Examples::
     repro-harness status j0123456789ab --json
     repro-harness watch j0123456789ab
     python -m repro.harness.cli table2
+
+A flag two subcommands share is one entry of :data:`FLAGS`, parsed flags
+become a :class:`Runner` only in :func:`_runner`, scheme names resolve
+only through :func:`~repro.harness.schemes.resolve_scheme`, and
+:data:`SUBCOMMANDS` maps each subcommand to its handler.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import inspect
 import json
 import sys
 from pathlib import Path
 
+from repro.config.scheduler import SchedulerConfig
 from repro.dram.devices import device_names, get_device
-from repro.errors import CellFailedError, ConfigError
+from repro.errors import (
+    CellFailedError,
+    ConfigError,
+    ServiceBusyError,
+    ServiceError,
+)
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import EXPERIMENTS
 from repro.harness.faults import FaultPlan, failure_manifest
 from repro.harness.runner import Runner
-from repro.harness.schemes import (
-    WINDOW_CYCLES,
-    evaluation_schemes,
-    scheme_def,
-    scheme_ids,
-)
+from repro.harness.schemes import WINDOW_CYCLES, resolve_scheme, scheme_ids
 from repro.sim.spec import SimSpec
 
 #: Exit codes of the main experiment command (documented in README):
@@ -50,6 +59,153 @@ EXIT_PARTIAL = 3
 EXIT_FAILED = 4
 #: ``report diff`` found a statistically significant regression.
 EXIT_REGRESSION = 5
+
+#: Help of every argument that names a scheme.
+SCHEME_HELP = (
+    "catalogue id (" + ", ".join(scheme_ids()) + "), Fig. 12 label "
+    "(e.g. Dyn-DMS), or alias base / dms / ams / dmsN (Static-DMS with "
+    "an N x 128-cycle delay)"
+)
+WORKLOAD_HELP = "Table II application abbreviation (e.g. SCP) or 'synthetic'"
+
+#: Every flag more than one subcommand takes, as ``add_argument``
+#: keyword arguments. A subcommand names the flags it takes
+#: (:func:`_add_flags`) and overrides a default only where it differs.
+FLAGS: dict[str, dict] = {
+    "--apps": dict(
+        default="SCP",
+        help="comma-separated Table II applications (default: "
+        "%(default)s)",
+    ),
+    "--scale": dict(
+        type=float, default=1.0,
+        help="workload size multiplier (default %(default)s; "
+        "smaller = faster)",
+    ),
+    "--seed": dict(type=int, default=7, help="workload data/trace seed"),
+    "--jobs": dict(
+        type=int, default=1,
+        help="simulate up to N cells in parallel worker processes",
+    ),
+    "--no-cache": dict(
+        action="store_true",
+        help="bypass the persistent result cache (same as "
+        "REPRO_NO_CACHE=1)",
+    ),
+    "--quiet": dict(
+        action="store_true",
+        help="suppress progress output and logging",
+    ),
+    "--device": dict(
+        default=None, choices=device_names(),
+        help="DRAM device preset (default: config-embedded GDDR5)",
+    ),
+    "--devices": dict(
+        default=",".join(device_names()),
+        help="comma-separated device presets (default %(default)s)",
+    ),
+    "--json": dict(
+        action="store_true",
+        help="emit machine-readable JSON instead of text",
+    ),
+    "--measure-error": dict(
+        action="store_true",
+        help="replay AMS drops through the kernels and report the "
+        "application error",
+    ),
+    "--retries": dict(
+        type=int, default=1,
+        help="extra attempts for a failing cell or job (default 1)",
+    ),
+    "--cell-timeout": dict(
+        type=float, default=None, metavar="SECONDS",
+        help="kill any attempt exceeding this wall-clock time (runs "
+        "cells in the supervised pool; telemetry jobs are exempt)",
+    ),
+    "--chaos": dict(
+        default=None, metavar="PLAN",
+        help="deterministic fault plan kind@cell[/stride][:seconds][xN], "
+        "e.g. 'crash@0;hang@1:30' (experiments default to "
+        "$REPRO_CHAOS); for drills and tests of the recovery paths",
+    ),
+    "--cache-dir": dict(
+        default=None,
+        help="result cache root (default: $REPRO_CACHE_DIR or "
+        ".repro-cache)",
+    ),
+    "--window": dict(
+        type=int, default=WINDOW_CYCLES, metavar="CYCLES",
+        help="telemetry window length in memory cycles (default: the "
+        f"harness profiling window, {WINDOW_CYCLES})",
+    ),
+    "--timeout": dict(
+        type=float, default=600.0,
+        help="seconds to wait for the job (default %(default)s)",
+    ),
+    "--host": dict(
+        default="127.0.0.1", help="daemon address (serve binds to it)"
+    ),
+    # repro.service.server.DEFAULT_PORT; not imported, so that commands
+    # other than the service ones start without loading the daemon.
+    "--port": dict(
+        type=int, default=8732,
+        help="daemon port; serve picks a free one for 0 "
+        "(default %(default)s)",
+    ),
+}
+_SHORT = {"--jobs": ("-j",)}
+
+
+def _add_flags(
+    parser: argparse.ArgumentParser, *flags: str, **defaults
+) -> None:
+    """Add the shared ``flags`` to ``parser``; ``defaults`` maps a
+    flag's dest to this subcommand's default where it differs."""
+    for flag in flags:
+        kwargs = FLAGS[flag]
+        dest = flag[2:].replace("-", "_")
+        if dest in defaults:
+            kwargs = {**kwargs, "default": defaults[dest]}
+        parser.add_argument(flag, *_SHORT.get(flag, ()), **kwargs)
+
+
+def _split(text: str) -> list[str]:
+    """A comma-separated flag value as its non-empty, stripped items."""
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+@contextlib.contextmanager
+def _usage_errors(parser: argparse.ArgumentParser):
+    """Turn a bad flag value found in the block into a usage error."""
+    try:
+        yield
+    except (ConfigError, ValueError) as exc:
+        parser.error(str(exc))
+
+
+#: Runner options a subcommand's flags may set; a flag the subcommand
+#: does not take keeps the Runner default.
+_RUNNER_FLAGS = ("jobs", "profile", "retries", "cell_timeout", "keep_going")
+
+
+def _runner(args: argparse.Namespace, **spec_fields) -> Runner:
+    """The one place parsed flags become a :class:`SimSpec` and a
+    :class:`Runner`. ``spec_fields`` are the spec fields the subcommand
+    sets beyond ``--device``. A subcommand without ``--no-cache``
+    (``trace``) runs uncached; without ``--chaos``, ``$REPRO_CHAOS``
+    applies."""
+    flags = vars(args)
+    spec_fields.setdefault("device", flags.get("device"))
+    chaos = flags.get("chaos")
+    return Runner(
+        scale=args.scale,
+        seed=args.seed,
+        spec=SimSpec(**spec_fields),
+        verbose=not args.quiet,
+        cache=None if flags.get("no_cache", True) else ResultCache(),
+        faults=FaultPlan.parse(chaos) if chaos else FaultPlan.from_env(),
+        **{name: flags[name] for name in _RUNNER_FLAGS if name in flags},
+    )
 
 
 def _cache_main(argv: list[str]) -> int:
@@ -68,11 +224,7 @@ def _cache_main(argv: list[str]) -> int:
         default=None,
         help="cache root (default: $REPRO_CACHE_DIR or .repro-cache)",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the info snapshot as machine-readable JSON",
-    )
+    _add_flags(parser, "--json")
     args = parser.parse_args(argv)
     cache = ResultCache(args.dir, enabled=True)
     if args.action == "clear":
@@ -105,7 +257,6 @@ def _safe_label(label: str) -> str:
 
 def _trace_main(argv: list[str]) -> int:
     """The ``repro-harness trace <scheme> <workload>`` subcommand."""
-    schemes = evaluation_schemes()
     parser = argparse.ArgumentParser(
         prog="repro-harness trace",
         description=(
@@ -114,26 +265,9 @@ def _trace_main(argv: list[str]) -> int:
             "trace-event JSON."
         ),
     )
-    parser.add_argument(
-        "scheme",
-        choices=sorted(schemes),
-        help="scheduling scheme (paper Fig. 12 legend label)",
-    )
-    parser.add_argument(
-        "workload",
-        help="Table II application abbreviation (e.g. SCP) or 'synthetic'",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="workload size multiplier (smaller = faster)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="workload data/trace seed"
-    )
-    parser.add_argument(
-        "--window", type=int, default=WINDOW_CYCLES,
-        help="telemetry window length, memory cycles",
-    )
+    parser.add_argument("scheme", help=f"scheduling scheme: {SCHEME_HELP}")
+    parser.add_argument("workload", help=WORKLOAD_HELP)
+    _add_flags(parser, "--scale", "--seed", "--window")
     parser.add_argument(
         "--out-dir", default="traces",
         help="directory receiving the exported files",
@@ -142,26 +276,23 @@ def _trace_main(argv: list[str]) -> int:
         "--no-chrome", action="store_true",
         help="skip the Chrome trace (JSONL only; much smaller)",
     )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress the report summary"
-    )
+    _add_flags(parser, "--quiet")
     args = parser.parse_args(argv)
+    with _usage_errors(parser):
+        label, scheme = resolve_scheme(args.scheme)
 
     from repro.telemetry.export import system_chrome_trace, write_chrome_trace
     from repro.telemetry.export import write_jsonl
 
-    runner = Runner(
-        scale=args.scale, seed=args.seed, verbose=not args.quiet, cache=None
-    )
-    report, system, hub = runner.run_traced(
+    report, system, hub = _runner(args).run_traced(
         args.workload,
-        schemes[args.scheme],
+        scheme,
         window_cycles=args.window,
         log_commands=not args.no_chrome,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{args.workload}_{_safe_label(args.scheme)}"
+    stem = f"{args.workload}_{_safe_label(label)}"
     jsonl_path = out_dir / f"{stem}.telemetry.jsonl"
     windows = write_jsonl(report.timeline, jsonl_path)
     if not args.quiet:
@@ -180,32 +311,21 @@ def _trace_main(argv: list[str]) -> int:
     return 0
 
 
-def _parse_scheme_ids(spec: str | None) -> list[str]:
-    """Comma-separated scheme ids -> validated id list (None = all)."""
-    if spec is None:
-        return scheme_ids()
-    ids = [token.strip() for token in spec.split(",") if token.strip()]
-    for scheme_id in ids:
-        scheme_def(scheme_id)  # raises ConfigError on unknown ids
-    return ids
-
-
 def _scheme_table(
     runner: Runner,
     apps: list[str],
-    ids: list[str],
+    schemes: list[tuple[str, SchedulerConfig]],
     *,
     measure_error: bool,
 ) -> str:
     """Table-III-style comparison: every scheme vs. the FR-FCFS baseline.
 
-    The ``frfcfs`` baseline is always simulated (it is the normalisation
-    reference) even when absent from ``ids``, but only requested schemes
-    appear as rows.
+    ``schemes`` are (label, config) pairs that include the Baseline,
+    the normalisation reference.
     """
-    sim_ids = ids if "frfcfs" in ids else ["frfcfs", *ids]
-    schemes = {scheme_def(i).label: scheme_def(i).build() for i in sim_ids}
-    result = runner.run_matrix(apps, schemes, measure_error=measure_error)
+    result = runner.run_matrix(
+        apps, dict(schemes), measure_error=measure_error
+    )
     device = runner.spec.device
     device_line = "default (config-embedded GDDR5)"
     if device is not None:
@@ -226,8 +346,7 @@ def _scheme_table(
         lines.append("")
         lines.append(header)
         lines.append("-" * len(header))
-        for scheme_id in sim_ids:
-            label = scheme_def(scheme_id).label
+        for label, _ in schemes:
             report = result[(app, label)]
             err = report.application_error
             cov = 100.0 * report.coverage
@@ -244,126 +363,57 @@ def _scheme_table(
     return "\n".join(lines)
 
 
-def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    """Options shared by the ``table`` and ``matrix`` subcommands."""
-    parser.add_argument(
-        "--apps", default="SCP",
-        help="comma-separated Table II applications (default: SCP)",
-    )
-    parser.add_argument(
-        "--schemes", "--scheme", dest="schemes", default=None,
-        metavar="IDS",
-        help="comma-separated scheme ids from the catalogue "
-        f"({', '.join(scheme_ids())}); default: all",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help="workload size multiplier (default 0.25: quick tables)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="workload data/trace seed"
-    )
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="simulate up to N matrix cells in parallel",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent result cache",
-    )
-    parser.add_argument(
-        "--measure-error", action="store_true",
-        help="replay AMS drops through the kernels and report the "
-        "application error",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-run progress"
-    )
-
-
-def _table_main(argv: list[str]) -> int:
-    """The ``repro-harness table`` subcommand: one device, all schemes."""
+def _sweep_main(argv: list[str], *, matrix: bool) -> int:
+    """The ``table`` and ``matrix`` subcommands: the scheme comparison
+    on every requested device, ``table`` being the one-device case."""
+    name = "matrix" if matrix else "table"
     parser = argparse.ArgumentParser(
-        prog="repro-harness table",
+        prog=f"repro-harness {name}",
         description=(
+            "Cross-device sensitivity sweep: the scheme comparison of "
+            "'table' repeated on every requested DRAM device preset."
+            if matrix else
             "Compare scheduling schemes (including the fcfs and "
             "frfcfs-cap baselines) on one DRAM device, Table-III style: "
             "IPC, activations, and row energy normalised to FR-FCFS."
         ),
     )
+    _add_flags(parser, "--devices" if matrix else "--device", "--apps")
     parser.add_argument(
-        "--device", default=None, choices=device_names(),
-        help="DRAM device preset (default: config-embedded GDDR5)",
+        "--schemes", "--scheme", dest="schemes", default=None,
+        metavar="NAMES",
+        help=f"comma-separated schemes, each a {SCHEME_HELP} (default: "
+        "every catalogue id; the Baseline is always simulated)",
     )
-    _add_sweep_arguments(parser)
+    _add_flags(
+        parser, "--scale", "--seed", "--jobs", "--no-cache",
+        "--measure-error", "--quiet", scale=0.25,
+    )
     args = parser.parse_args(argv)
-    try:
-        ids = _parse_scheme_ids(args.schemes)
-    except ConfigError as exc:
-        parser.error(str(exc))
-    apps = [a.strip() for a in args.apps.split(",") if a.strip()]
-    runner = Runner(
-        scale=args.scale, seed=args.seed, spec=SimSpec(device=args.device),
-        verbose=not args.quiet, jobs=args.jobs,
-        cache=None if args.no_cache else ResultCache(),
-    )
-    try:
-        print(
-            _scheme_table(
-                runner, apps, ids, measure_error=args.measure_error
-            )
-        )
-    except CellFailedError as exc:
-        _emit_failures(runner.failures or exc.failures, None)
-        return EXIT_FAILED
-    return EXIT_OK
-
-
-def _matrix_main(argv: list[str]) -> int:
-    """The ``repro-harness matrix`` subcommand: device x scheme sweep."""
-    parser = argparse.ArgumentParser(
-        prog="repro-harness matrix",
-        description=(
-            "Cross-device sensitivity sweep: the scheme comparison of "
-            "'table' repeated on every requested DRAM device preset."
-        ),
-    )
-    parser.add_argument(
-        "--devices", default=",".join(device_names()),
-        help="comma-separated device presets "
-        f"(default: {','.join(device_names())})",
-    )
-    _add_sweep_arguments(parser)
-    args = parser.parse_args(argv)
-    try:
-        ids = _parse_scheme_ids(args.schemes)
-    except ConfigError as exc:
-        parser.error(str(exc))
-    devices = [d.strip() for d in args.devices.split(",") if d.strip()]
-    for device in devices:
-        if device not in device_names():
-            parser.error(
-                f"unknown device {device!r}; "
-                f"registered: {', '.join(device_names())}"
-            )
-    apps = [a.strip() for a in args.apps.split(",") if a.strip()]
-    cache = None if args.no_cache else ResultCache()
+    names = scheme_ids() if args.schemes is None else _split(args.schemes)
+    devices = _split(args.devices) if matrix else [args.device]
+    with _usage_errors(parser):
+        schemes = [resolve_scheme(n) for n in names]
+        if matrix:
+            for device in devices:
+                get_device(device)
+    if all(label != "Baseline" for label, _ in schemes):
+        schemes.insert(0, resolve_scheme("frfcfs"))
+    apps = _split(args.apps)
     exit_code = EXIT_OK
     for device in devices:
-        runner = Runner(
-            scale=args.scale, seed=args.seed, spec=SimSpec(device=device),
-            verbose=not args.quiet, jobs=args.jobs, cache=cache,
-        )
+        runner = _runner(args, device=device)
         try:
             print(
                 _scheme_table(
-                    runner, apps, ids, measure_error=args.measure_error
+                    runner, apps, schemes, measure_error=args.measure_error
                 )
             )
-            print()
         except CellFailedError as exc:
-            _emit_failures(runner.failures or exc.failures, None)
-            exit_code = EXIT_FAILED
+            exit_code = _cells_failed(runner.failures or exc.failures)
+        else:
+            if matrix:
+                print()
     return exit_code
 
 
@@ -374,12 +424,10 @@ def _pareto_main(argv: list[str]) -> int:
     enabled and prints the row-energy x application-error x FIT
     frontier table (plus the carbon-per-GiB-year estimate per cell).
     """
-    from repro.dram.ecc import ecc_names
+    from repro.dram.ecc import ecc_names, get_ecc
     from repro.harness.pareto import (
         DEFAULT_SWEEP_P_BIT,
         format_pareto_table,
-        mark_frontier,
-        resolve_scheme_token,
         run_pareto,
     )
 
@@ -393,79 +441,43 @@ def _pareto_main(argv: list[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--schemes", default="base,dms2,ams", metavar="TOKENS",
-        help="comma-separated scheme tokens: catalogue ids plus "
-        "aliases base / dms / ams / dmsN (N x 128-cycle delay); "
-        "default base,dms2,ams",
+        "--schemes", default="base,dms2,ams", metavar="NAMES",
+        help=f"comma-separated schemes, each a {SCHEME_HELP} "
+        "(default %(default)s)",
     )
-    parser.add_argument(
-        "--devices", default="gddr5,lpddr4",
-        help="comma-separated device presets "
-        f"(registered: {','.join(device_names())}; "
-        "default gddr5,lpddr4)",
-    )
+    _add_flags(parser, "--devices", devices="gddr5,lpddr4")
     parser.add_argument(
         "--ecc", default="none,secded,bch",
         help="comma-separated ECC codes "
         f"(registered: {','.join(ecc_names())}; "
         "default none,secded,bch)",
     )
-    parser.add_argument(
-        "--apps", default="SCP",
-        help="comma-separated Table II applications (default: SCP)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help="workload size multiplier (default 0.25: quick sweeps)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="workload data/trace seed"
-    )
+    _add_flags(parser, "--apps", "--scale", "--seed", scale=0.25)
     parser.add_argument(
         "--p-bit", type=float, default=DEFAULT_SWEEP_P_BIT,
         help="per-bit flip probability at nominal timings "
         f"(default {DEFAULT_SWEEP_P_BIT:g}; elevated so scaled-down "
         "traces still see flips)",
     )
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="simulate up to N cells in parallel per (device, ecc) group",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent result cache",
-    )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the rows as machine-readable JSON instead of a table",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-run progress"
-    )
+    _add_flags(parser, "--jobs", "--no-cache", "--json", "--quiet")
     args = parser.parse_args(argv)
-    scheme_tokens = [t for t in args.schemes.split(",") if t.strip()]
-    devices = [d.strip() for d in args.devices.split(",") if d.strip()]
-    ecc_codes = [c.strip() for c in args.ecc.split(",") if c.strip()]
-    apps = [a.strip() for a in args.apps.split(",") if a.strip()]
-    try:
-        for token in scheme_tokens:
-            resolve_scheme_token(token)
+    scheme_names = _split(args.schemes)
+    devices = _split(args.devices)
+    ecc_codes = _split(args.ecc)
+    apps = _split(args.apps)
+    with _usage_errors(parser):
+        for scheme in scheme_names:
+            resolve_scheme(scheme)
         for code in ecc_codes:
-            if code not in ecc_names():
-                raise ConfigError(
-                    f"unknown ECC code {code!r}; "
-                    f"registered: {', '.join(ecc_names())}"
-                )
+            get_ecc(code)
         for device in devices:
             get_device(device)
-    except ConfigError as exc:
-        parser.error(str(exc))
-    if not (scheme_tokens and devices and ecc_codes and apps):
+    if not (scheme_names and devices and ecc_codes and apps):
         parser.error("schemes, devices, ecc, and apps must be non-empty")
     try:
         rows = run_pareto(
             apps=apps,
-            scheme_tokens=scheme_tokens,
+            scheme_tokens=scheme_names,
             devices=devices,
             ecc_codes=ecc_codes,
             scale=args.scale,
@@ -476,9 +488,7 @@ def _pareto_main(argv: list[str]) -> int:
             verbose=not args.quiet,
         )
     except CellFailedError as exc:
-        _emit_failures(exc.failures, None)
-        return EXIT_FAILED
-    mark_frontier(rows)
+        return _cells_failed(exc.failures)
     if args.json:
         print(json.dumps([row.to_dict() for row in rows], indent=2))
     else:
@@ -531,12 +541,7 @@ def _report_main(argv: list[str]) -> int:
             ".repro-warehouse.sqlite)"
         ),
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache root to ingest (default: $REPRO_CACHE_DIR or "
-        ".repro-cache)",
-    )
+    _add_flags(parser, "--cache-dir")
     parser.add_argument(
         "--failures",
         action="append",
@@ -581,70 +586,38 @@ def _report_main(argv: list[str]) -> int:
         metavar="SNAPSHOT_JSON",
         help="diff: pinned snapshot to gate against (required)",
     )
+    # WarehouseSpec fields with a flag of their own: (field, type, help).
     spec_defaults = WarehouseSpec()
-    parser.add_argument(
-        "--baseline-scheme",
-        default=spec_defaults.baseline_scheme,
-        help="scheme label savings are computed against",
+    spec_flags = (
+        ("baseline_scheme", None, "scheme label savings are computed against"),
+        ("confidence", float, "bootstrap CI confidence level"),
+        ("resamples", int, "bootstrap resample count"),
+        ("alpha", float, "diff: significance level (Holm-adjusted)"),
+        ("min_effect", float,
+         "diff: minimum worse-direction relative mean delta"),
+        ("min_samples", int,
+         "diff: seeds per side below which the gate is delta-only"),
     )
-    parser.add_argument(
-        "--confidence",
-        type=float,
-        default=spec_defaults.confidence,
-        help="bootstrap CI confidence level",
-    )
-    parser.add_argument(
-        "--resamples",
-        type=int,
-        default=spec_defaults.resamples,
-        help="bootstrap resample count",
-    )
-    parser.add_argument(
-        "--alpha",
-        type=float,
-        default=spec_defaults.alpha,
-        help="diff: significance level (Holm-adjusted)",
-    )
-    parser.add_argument(
-        "--min-effect",
-        type=float,
-        default=spec_defaults.min_effect,
-        help="diff: minimum worse-direction relative mean delta",
-    )
-    parser.add_argument(
-        "--min-samples",
-        type=int,
-        default=spec_defaults.min_samples,
-        help="diff: seeds per side below which the gate is delta-only",
-    )
+    for field, kind, text in spec_flags:
+        parser.add_argument(
+            "--" + field.replace("_", "-"), type=kind,
+            default=getattr(spec_defaults, field), help=text,
+        )
     parser.add_argument(
         "--metrics",
         default=",".join(spec_defaults.metrics),
         help="diff: comma-separated metrics to gate",
     )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit machine-readable JSON instead of text",
-    )
+    _add_flags(parser, "--json")
     args = parser.parse_args(argv)
     spec = WarehouseSpec(
         db_path=args.db,
         cache_dir=args.cache_dir,
-        baseline_scheme=args.baseline_scheme,
-        confidence=args.confidence,
-        resamples=args.resamples,
-        alpha=args.alpha,
-        min_effect=args.min_effect,
-        min_samples=args.min_samples,
-        metrics=tuple(
-            m.strip() for m in args.metrics.split(",") if m.strip()
-        ),
+        metrics=tuple(_split(args.metrics)),
+        **{field: getattr(args, field) for field, _, _ in spec_flags},
     )
-    try:
+    with _usage_errors(parser):
         spec.validate()
-    except ConfigError as exc:
-        parser.error(str(exc))
 
     with Warehouse(spec.db_path) as warehouse:
         if args.action == "ingest":
@@ -744,24 +717,10 @@ def _report_main(argv: list[str]) -> int:
         return EXIT_REGRESSION if regressions else EXIT_OK
 
 
-def _add_endpoint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Host/port options shared by the service client subcommands."""
-    from repro.service.server import DEFAULT_PORT
-
-    parser.add_argument(
-        "--host", default="127.0.0.1", help="daemon host to contact"
-    )
-    parser.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
-        help=f"daemon port (default {DEFAULT_PORT})",
-    )
-
-
 def _serve_main(argv: list[str]) -> int:
     """The ``repro-harness serve`` subcommand: run the job daemon."""
     from repro.service.server import (
         DEFAULT_JOURNAL,
-        DEFAULT_PORT,
         DEFAULT_RING_EVENTS,
         ServiceDaemon,
     )
@@ -775,13 +734,7 @@ def _serve_main(argv: list[str]) -> int:
             "telemetry over SSE."
         ),
     )
-    parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address"
-    )
-    parser.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
-        help=f"bind port, 0 = pick a free one (default {DEFAULT_PORT})",
-    )
+    _add_flags(parser, "--host", "--port")
     parser.add_argument(
         "--workers", type=int, default=2,
         help="supervised simulator worker processes (default 2)",
@@ -823,43 +776,16 @@ def _serve_main(argv: list[str]) -> int:
         help="bounded per-job SSE replay ring size (events kept for "
         "Last-Event-ID reconnects; default 512)",
     )
-    parser.add_argument(
-        "--chaos", default=None, metavar="PLAN",
-        help="deterministic fault plan injected into the worker tier "
-        "(kind@cell[/stride][:seconds][xN]; e.g. exit@0/5 kills the "
-        "worker of every 5th dispatch) — for drills and tests",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or "
-        ".repro-cache)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="serve without the persistent result cache",
-    )
+    _add_flags(parser, "--chaos", "--cache-dir", "--no-cache")
     parser.add_argument(
         "--warehouse", default=None, metavar="DB",
         help="results-warehouse sqlite file served by the read-only "
         "/v1/experiments routes (default: $REPRO_WAREHOUSE or "
         ".repro-warehouse.sqlite)",
     )
-    parser.add_argument(
-        "--retries", type=int, default=1,
-        help="extra attempts per failing job (default 1)",
-    )
-    parser.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill any non-telemetry job attempt exceeding this "
-        "wall-clock bound (supervised pool)",
-    )
-    parser.add_argument(
-        "--window", type=int, default=None, metavar="CYCLES",
-        help="telemetry window for streaming jobs (default: harness "
-        "profiling window)",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress daemon logging"
+    _add_flags(
+        parser, "--retries", "--cell-timeout", "--window", "--quiet",
+        window=None,
     )
     args = parser.parse_args(argv)
     if args.workers < 0:
@@ -870,14 +796,8 @@ def _serve_main(argv: list[str]) -> int:
         parser.error("--shed-watermark must be in (0, 1]")
     if args.sse_ring_events is not None and args.sse_ring_events < 1:
         parser.error("--sse-ring-events must be >= 1")
-    chaos = None
-    if args.chaos:
-        from repro.harness.faults import FaultPlan
-
-        try:
-            chaos = FaultPlan.parse(args.chaos)
-        except ValueError as exc:
-            parser.error(str(exc))
+    with _usage_errors(parser):
+        chaos = FaultPlan.parse(args.chaos) if args.chaos else None
     daemon = ServiceDaemon(
         host=args.host,
         port=args.port,
@@ -906,7 +826,6 @@ def _serve_main(argv: list[str]) -> int:
 
 def _submit_main(argv: list[str]) -> int:
     """The ``repro-harness submit`` subcommand: one job over HTTP."""
-    from repro.errors import ServiceBusyError, ServiceError
     from repro.service.client import ServiceClient
 
     parser = argparse.ArgumentParser(
@@ -914,27 +833,12 @@ def _submit_main(argv: list[str]) -> int:
         description="Submit one (workload, scheme) job to a running "
         "repro-harness daemon.",
     )
-    parser.add_argument(
-        "workload",
-        help="Table II application abbreviation (e.g. SCP) or "
-        "'synthetic'",
-    )
+    parser.add_argument("workload", help=WORKLOAD_HELP)
     parser.add_argument(
         "--scheme", default="frfcfs",
-        help="scheme id from the catalogue "
-        f"({', '.join(scheme_ids())}; default frfcfs)",
+        help=f"scheme: a {SCHEME_HELP} (default %(default)s)",
     )
-    parser.add_argument(
-        "--device", default=None, choices=device_names(),
-        help="DRAM device preset (default: config-embedded GDDR5)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="workload size multiplier",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="workload data/trace seed"
-    )
+    _add_flags(parser, "--device", "--scale", "--seed")
     parser.add_argument(
         "--priority", type=int, default=0,
         help="larger runs earlier (default 0)",
@@ -943,11 +847,7 @@ def _submit_main(argv: list[str]) -> int:
         "--telemetry", action="store_true",
         help="run with windowed telemetry (enables live SSE windows)",
     )
-    parser.add_argument(
-        "--measure-error", action="store_true",
-        help="replay AMS drops through the kernel and report the "
-        "application error",
-    )
+    _add_flags(parser, "--measure-error")
     parser.add_argument(
         "--retry-busy", type=int, default=0, metavar="N",
         help="on 429, retry up to N times honouring Retry-After",
@@ -956,18 +856,12 @@ def _submit_main(argv: list[str]) -> int:
         "--wait", action="store_true",
         help="block until the job finishes and print its summary",
     )
-    parser.add_argument(
-        "--timeout", type=float, default=600.0,
-        help="--wait timeout in seconds (default 600)",
-    )
-    _add_endpoint_arguments(parser)
+    _add_flags(parser, "--timeout", "--host", "--port")
     args = parser.parse_args(argv)
-    try:
-        definition = scheme_def(args.scheme)
-    except ConfigError as exc:
-        parser.error(str(exc))
+    with _usage_errors(parser):
+        _, scheduler = resolve_scheme(args.scheme)
     spec = SimSpec(
-        scheduler=definition.build(),
+        scheduler=scheduler,
         device=args.device,
         measure_error=args.measure_error,
         telemetry=args.telemetry,
@@ -1009,7 +903,6 @@ def _submit_main(argv: list[str]) -> int:
 
 def _status_main(argv: list[str]) -> int:
     """The ``repro-harness status [JOB_ID]`` subcommand."""
-    from repro.errors import ServiceError
     from repro.service.client import ServiceClient
 
     parser = argparse.ArgumentParser(
@@ -1020,11 +913,7 @@ def _status_main(argv: list[str]) -> int:
     parser.add_argument(
         "job_id", nargs="?", default=None, help="job id from submit"
     )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the raw JSON document",
-    )
-    _add_endpoint_arguments(parser)
+    _add_flags(parser, "--json", "--host", "--port")
     args = parser.parse_args(argv)
     client = ServiceClient(args.host, args.port)
     try:
@@ -1071,7 +960,6 @@ def _status_main(argv: list[str]) -> int:
 
 def _watch_main(argv: list[str]) -> int:
     """The ``repro-harness watch JOB_ID`` subcommand: follow SSE."""
-    from repro.errors import ServiceError
     from repro.service.client import ServiceClient
 
     parser = argparse.ArgumentParser(
@@ -1080,11 +968,7 @@ def _watch_main(argv: list[str]) -> int:
         "it finishes.",
     )
     parser.add_argument("job_id", help="job id from submit")
-    parser.add_argument(
-        "--timeout", type=float, default=600.0,
-        help="stream read timeout in seconds",
-    )
-    _add_endpoint_arguments(parser)
+    _add_flags(parser, "--timeout", "--host", "--port")
     args = parser.parse_args(argv)
     client = ServiceClient(args.host, args.port)
     try:
@@ -1112,37 +996,27 @@ def _watch_main(argv: list[str]) -> int:
 
 
 def _parse_tenant_token(token: str):
-    """Parse one ``--tenant NAME=WORKLOAD[:CLASS[:SCALE[:SEED]]]``."""
-    from repro.config.tenants import TENANT_CLASSES, TenantSpec
+    """Parse one ``--tenant NAME=WORKLOAD[:CLASS[:SCALE[:SEED]]]``
+    (the mix's ``validate`` checks the class and scale)."""
+    from repro.config.tenants import TenantSpec
 
     name, sep, rest = token.partition("=")
-    if not sep or not name or not rest:
+    parts = rest.split(":")
+    if not sep or not name or not rest or len(parts) > 4:
         raise ConfigError(
             f"bad tenant {token!r}; expected "
             "NAME=WORKLOAD[:CLASS[:SCALE[:SEED]]]"
         )
-    parts = rest.split(":")
-    workload = parts[0]
-    tenant_class = parts[1] if len(parts) > 1 and parts[1] else "bandwidth"
-    if tenant_class not in TENANT_CLASSES:
-        raise ConfigError(
-            f"bad tenant class {tenant_class!r} in {token!r}; "
-            f"known: {', '.join(TENANT_CLASSES)}"
-        )
+    workload, tenant_class, scale, seed = parts + [""] * (4 - len(parts))
     try:
-        scale = float(parts[2]) if len(parts) > 2 and parts[2] else 1.0
-        seed = int(parts[3]) if len(parts) > 3 and parts[3] else None
+        return TenantSpec(
+            name=name, workload=workload,
+            tenant_class=tenant_class or "bandwidth",
+            scale=float(scale) if scale else 1.0,
+            seed=int(seed) if seed else None,
+        )
     except ValueError as exc:
         raise ConfigError(f"bad tenant {token!r}: {exc}") from None
-    if len(parts) > 4:
-        raise ConfigError(
-            f"bad tenant {token!r}; expected "
-            "NAME=WORKLOAD[:CLASS[:SCALE[:SEED]]]"
-        )
-    return TenantSpec(
-        name=name, workload=workload, tenant_class=tenant_class,
-        scale=scale, seed=seed,
-    )
 
 
 def _tenants_main(argv: list[str]) -> int:
@@ -1175,65 +1049,34 @@ def _tenants_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--scheme", default="static-dms+static-ams",
-        choices=scheme_ids(),
-        help="scheduling scheme shared by all tenants",
+        help=f"scheme shared by all tenants: a {SCHEME_HELP} "
+        "(default %(default)s)",
     )
-    parser.add_argument(
-        "--device", default=None, choices=device_names(),
-        help="DRAM device preset (default: config-embedded GDDR5)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="global workload size multiplier applied to every tenant",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7,
-        help="default data/trace seed (per-tenant seeds override)",
-    )
-    parser.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="parallel workers for the solo-baseline sweep",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the persistent result cache",
+    _add_flags(
+        parser, "--device", "--scale", "--seed", "--jobs", "--no-cache"
     )
     parser.add_argument(
         "--no-baselines", action="store_true",
         help="skip the solo baselines (no slowdown/fairness columns)",
     )
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit the full report as machine-readable JSON",
-    )
-    parser.add_argument(
-        "--quiet", "-q", action="store_true",
-        help="suppress per-cell progress logging",
-    )
+    _add_flags(parser, "--json")
+    parser.add_argument("--quiet", "-q", **FLAGS["--quiet"])
     args = parser.parse_args(argv)
     if not args.tenant:
         parser.error("at least one --tenant is required")
-    try:
+    with _usage_errors(parser):
         tenants = tuple(_parse_tenant_token(t) for t in args.tenant)
         mix = TenantMixSpec(tenants=tenants, arbiter=args.arbiter)
         mix.validate()
-    except ConfigError as exc:
-        parser.error(str(exc))
-    scheme = scheme_def(args.scheme).build()
-    runner = Runner(
-        scale=args.scale, seed=args.seed,
-        spec=SimSpec(device=args.device, tenants=mix),
-        verbose=not args.quiet, jobs=args.jobs,
-        cache=None if args.no_cache else ResultCache(),
-    )
+        _, scheme = resolve_scheme(args.scheme)
+    runner = _runner(args, tenants=mix)
     label = "+".join(t.workload for t in tenants)
     try:
         report = runner.run(label, scheme)
         if report.tenants is not None and not args.no_baselines:
             attach_slowdowns(report, runner, mix, scheme)
     except CellFailedError as exc:
-        _emit_failures(runner.failures or exc.failures, None)
-        return EXIT_FAILED
+        return _cells_failed(runner.failures or exc.failures)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK
@@ -1248,72 +1091,24 @@ def _tenants_main(argv: list[str]) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+def _experiments_main(argv: list[str]) -> int:
     """Run one experiment (or ``all``) and print its tables."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "tenants":
-        return _tenants_main(argv[1:])
-    if argv and argv[0] == "cache":
-        return _cache_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return _trace_main(argv[1:])
-    if argv and argv[0] == "table":
-        return _table_main(argv[1:])
-    if argv and argv[0] == "matrix":
-        return _matrix_main(argv[1:])
-    if argv and argv[0] == "pareto":
-        return _pareto_main(argv[1:])
-    if argv and argv[0] == "report":
-        return _report_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "submit":
-        return _submit_main(argv[1:])
-    if argv and argv[0] == "status":
-        return _status_main(argv[1:])
-    if argv and argv[0] == "watch":
-        return _watch_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-harness",
         description=(
-            "Regenerate the paper's tables and figures on the simulator."
+            "Regenerate the paper's tables and figures on the simulator. "
+            "Without --apps each figure runs its own app set."
         ),
     )
     parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS) + ["all"],
         help="experiment id (paper figure/table) or 'all' "
-        "(also: 'cache clear|info' to manage the result cache, "
-        "'trace <scheme> <workload>' to export telemetry, "
-        "'table'/'matrix' for scheme and device comparisons)",
+        f"(other subcommands: {', '.join(SUBCOMMANDS)})",
     )
-    parser.add_argument(
-        "--device",
-        default=None,
-        choices=device_names(),
-        help="DRAM device preset for every cell "
-        "(default: config-embedded GDDR5)",
-    )
-    parser.add_argument(
-        "--apps",
-        default=None,
-        help="comma-separated subset of Table II applications",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="workload size multiplier (smaller = faster)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=7, help="workload data/trace seed"
-    )
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="simulate up to N matrix cells in parallel worker processes",
+    _add_flags(
+        parser, "--device", "--apps", "--scale", "--seed", "--jobs",
+        apps=None,
     )
     parser.add_argument(
         "--profile",
@@ -1327,38 +1122,14 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help="write the per-cell profile report here (default: stderr)",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the persistent result cache (same as REPRO_NO_CACHE=1)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="extra attempts for a failing matrix cell (default 1)",
-    )
-    parser.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill any matrix cell exceeding this wall-clock time per "
-        "attempt (forces the supervised pool even with --jobs 1)",
-    )
+    _add_flags(parser, "--no-cache", "--retries", "--cell-timeout")
     parser.add_argument(
         "--keep-going",
         action="store_true",
         help="quarantine failing cells and finish the sweep with the "
         f"healthy ones (exit code {EXIT_PARTIAL} on partial results)",
     )
-    parser.add_argument(
-        "--chaos",
-        default=None,
-        metavar="PLAN",
-        help="deterministic fault-injection plan, e.g. 'crash@0;hang@1:30' "
-        "(default: $REPRO_CHAOS); for testing the recovery paths",
-    )
+    _add_flags(parser, "--chaos")
     parser.add_argument(
         "--failures-out",
         default=None,
@@ -1366,9 +1137,7 @@ def main(argv: list[str] | None = None) -> int:
         help="write the structured failure manifest (JSON) here when any "
         "cell is quarantined",
     )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-run progress"
-    )
+    _add_flags(parser, "--quiet")
     args = parser.parse_args(argv)
 
     if args.jobs < 1:
@@ -1377,47 +1146,28 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--retries must be >= 0")
     if args.cell_timeout is not None and args.cell_timeout <= 0:
         parser.error("--cell-timeout must be positive")
-    try:
-        faults = (
-            FaultPlan.parse(args.chaos) if args.chaos
-            else FaultPlan.from_env()
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    runner = Runner(
-        scale=args.scale,
-        seed=args.seed,
-        spec=SimSpec(device=args.device),
-        verbose=not args.quiet,
-        jobs=args.jobs,
-        profile=args.profile,
-        cache=None if args.no_cache else ResultCache(),
-        retries=args.retries,
-        cell_timeout=args.cell_timeout,
-        keep_going=args.keep_going,
-        faults=faults,
-    )
+    with _usage_errors(parser):
+        runner = _runner(args)
+    apps = tuple(_split(args.apps)) if args.apps else ()
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [
         args.experiment
     ]
     exit_code = EXIT_OK
     for name in names:
         fn = EXPERIMENTS[name]
+        takes_apps = apps and "apps" in inspect.signature(fn).parameters
+        if apps and not takes_apps:
+            print(
+                f"{name}: --apps does not apply (fixed app set)",
+                file=sys.stderr,
+            )
         try:
-            if args.apps:
-                apps = tuple(a.strip() for a in args.apps.split(","))
-                try:
-                    result = fn(runner, apps)
-                except TypeError:
-                    result = fn(runner)  # experiment with fixed app set
-            else:
-                result = fn(runner)
+            result = fn(runner, **({"apps": apps} if takes_apps else {}))
         except CellFailedError as exc:
             if not args.keep_going:
-                _emit_failures(
+                return _cells_failed(
                     runner.failures or exc.failures, args.failures_out
                 )
-                return EXIT_FAILED
             print(
                 f"[partial] {name} incomplete: {exc}",
                 file=sys.stderr,
@@ -1429,7 +1179,7 @@ def main(argv: list[str] | None = None) -> int:
     if runner.profiles:
         _emit_profiles(runner.profiles, args.profile_out)
     if runner.failures:
-        _emit_failures(runner.failures, args.failures_out)
+        _cells_failed(runner.failures, args.failures_out)
         exit_code = EXIT_PARTIAL if args.keep_going else EXIT_FAILED
     return exit_code
 
@@ -1452,8 +1202,9 @@ def _emit_profiles(profiles: list[dict], out_path: str | None) -> None:
         print(text, file=sys.stderr)
 
 
-def _emit_failures(failures, out_path: str | None) -> None:
-    """Report quarantined cells: summary to stderr, manifest to disk."""
+def _cells_failed(failures, out_path: str | None = None) -> int:
+    """Report quarantined cells (summary to stderr, manifest to disk);
+    the exit code of a run that stopped on them."""
     manifest = failure_manifest(list(failures))
     print(
         f"{manifest['failed_cells']} cell(s) failed after retries:",
@@ -1466,6 +1217,31 @@ def _emit_failures(failures, out_path: str | None) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
         print(f"failure manifest written to {path}", file=sys.stderr)
+    return EXIT_FAILED
+
+
+#: Every subcommand but the experiments, by its first argument.
+SUBCOMMANDS = {
+    "cache": _cache_main,
+    "trace": _trace_main,
+    "table": functools.partial(_sweep_main, matrix=False),
+    "matrix": functools.partial(_sweep_main, matrix=True),
+    "pareto": _pareto_main,
+    "report": _report_main,
+    "serve": _serve_main,
+    "submit": _submit_main,
+    "status": _status_main,
+    "watch": _watch_main,
+    "tenants": _tenants_main,
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand, or one experiment (or ``all``)."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:])
+    return _experiments_main(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

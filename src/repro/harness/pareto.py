@@ -8,27 +8,20 @@ application error (AMS replay), the analytic silent-corruption FIT, and
 the carbon-per-GiB-year estimate. Rows no other row dominates on
 (energy, app-error, FIT) form the Pareto frontier (marked ``*``).
 
-Scheme tokens accept the catalogue ids of
-:mod:`repro.harness.schemes` plus sweep-friendly aliases:
-
-* ``base`` — the FR-FCFS baseline;
-* ``dms`` / ``ams`` — the static DMS / AMS schemes;
-* ``dmsN`` (e.g. ``dms2``) — Static-DMS with an ``N x 128``-cycle
-  activation delay.
+Scheme names go through :func:`repro.harness.schemes.resolve_scheme`, so
+the sweep-friendly aliases ``base``, ``dms``, ``ams`` and ``dmsN`` work
+beside catalogue ids and Fig. 12 labels.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.config.faults import FaultConfig
-from repro.config.scheduler import SchedulerConfig, static_dms
-from repro.errors import ConfigError
 from repro.harness.cache import ResultCache
 from repro.harness.runner import Runner
-from repro.harness.schemes import scheme_def
+from repro.harness.schemes import resolve_scheme
 from repro.sim.report import SimReport
 from repro.sim.spec import SimSpec
 
@@ -36,29 +29,6 @@ from repro.sim.spec import SimSpec
 #: scaled-down trace still sees a statistically meaningful number of
 #: flips, low enough that SEC-DED keeps multi-flip words rare.
 DEFAULT_SWEEP_P_BIT = 2e-6
-
-
-def resolve_scheme_token(token: str) -> tuple[str, SchedulerConfig]:
-    """One ``--schemes`` token -> (label, scheduler configuration)."""
-    t = token.strip()
-    if not t:
-        raise ConfigError("empty scheme token")
-    lowered = t.lower()
-    if lowered == "base":
-        base = scheme_def("frfcfs")
-        return base.label, base.build()
-    if lowered == "dms":
-        sd = scheme_def("static-dms")
-        return sd.label, sd.build()
-    if lowered == "ams":
-        sd = scheme_def("static-ams")
-        return sd.label, sd.build()
-    match = re.fullmatch(r"dms(\d+)", lowered)
-    if match:
-        delay = int(match.group(1)) * 128
-        return f"Static-DMS({delay})", static_dms(delay)
-    sd = scheme_def(t)  # raises ConfigError on unknown ids
-    return sd.label, sd.build()
 
 
 @dataclass
@@ -174,7 +144,7 @@ def run_pareto(
     """
     from repro.dram.ecc import get_ecc
 
-    schemes = dict(resolve_scheme_token(t) for t in scheme_tokens)
+    schemes = dict(resolve_scheme(t) for t in scheme_tokens)
     for code in ecc_codes:
         get_ecc(code)  # raises ConfigError on unknown codes
     faults = FaultConfig(enabled=True, p_bit=p_bit, scale=fault_scale)

@@ -411,9 +411,6 @@ class WarmPool:
                 "warm pool shut down with cells in flight"
             ))
 
-    #: Historical name; :meth:`close` is the canonical spelling.
-    shutdown = close
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

@@ -347,7 +347,7 @@ class Runner:
         workers are cheaper than a rebuild."""
         pool = self._pool
         if pool is not None and (pool.closed or pool.size < workers):
-            pool.shutdown()
+            pool.close()
             pool = None
         if pool is None:
             inc = self.metrics.inc
@@ -358,7 +358,7 @@ class Runner:
             # The pool outlives individual matrices by design; tie its
             # lifetime to the runner's so an abandoned runner does not
             # leak worker processes.
-            weakref.finalize(self, pool.shutdown)
+            weakref.finalize(self, pool.close)
         return pool
 
     def prewarm(self, jobs: Optional[int] = None) -> None:
@@ -372,7 +372,7 @@ class Runner:
         """Shut the warm pool down (idempotent). The runner stays
         usable — the next pooled matrix simply rebuilds the pool."""
         if self._pool is not None:
-            self._pool.shutdown()
+            self._pool.close()
             self._pool = None
 
     # ------------------------------------------------------------------

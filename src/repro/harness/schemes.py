@@ -5,7 +5,8 @@ composition over the policy registries of :mod:`repro.sched.policies`:
 a candidate-selector name plus DMS/AMS modes. :data:`SCHEME_DEFS` is the
 full catalogue (the paper's Fig. 12 legend plus the baseline-arbiter
 ablations); :func:`evaluation_schemes` materialises the Fig. 12 subset
-and :func:`scheme_by_id` any single entry.
+and :func:`scheme_by_id` any single entry. :func:`resolve_scheme` is the
+one place a name a user typed becomes a scheme.
 
 Dynamic schemes profile in windows of 4096 memory cycles in the paper,
 whose applications run for hundreds of millions of cycles. Our traces
@@ -18,6 +19,7 @@ literal constants on long traces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.config.scheduler import (
@@ -120,6 +122,9 @@ SCHEME_DEFS: tuple[SchemeDef, ...] = (
 )
 
 _BY_ID = {d.id: d for d in SCHEME_DEFS}
+_BY_LABEL = {d.label: d for d in SCHEME_DEFS}
+#: Sweep-friendly aliases (case-insensitive) of catalogue ids.
+_ALIASES = {"base": "frfcfs", "dms": "static-dms", "ams": "static-ams"}
 
 #: The Fig. 12 legend, in figure order (delay-only prefix first).
 _FIG12_DELAY_IDS = ("frfcfs", "static-dms", "dyn-dms")
@@ -157,6 +162,35 @@ def scheme_by_id(
         windows_per_phase=windows_per_phase,
         coverage=coverage,
     )
+
+
+def resolve_scheme(name: str) -> tuple[str, SchedulerConfig]:
+    """A scheme name -> (table label, scheduler configuration).
+
+    ``name`` is a catalogue id (``dyn-dms``), its label (``Dyn-DMS``,
+    as in the Fig. 12 legend), or a sweep alias: ``base`` (the FR-FCFS
+    baseline), ``dms`` / ``ams`` (the static DMS / AMS schemes), or
+    ``dmsN`` (Static-DMS with an ``N x 128``-cycle activation delay,
+    labelled ``Static-DMS(<delay>)``).
+    """
+    text = name.strip()
+    if not text:
+        raise ConfigError("empty scheme name")
+    lowered = text.lower()
+    match = re.fullmatch(r"dms(\d+)", lowered)
+    if match:
+        delay = int(match.group(1)) * 128
+        return f"Static-DMS({delay})", dms_only(delay)
+    definition = (
+        _BY_ID.get(_ALIASES.get(lowered, text)) or _BY_LABEL.get(text)
+    )
+    if definition is None:
+        raise ConfigError(
+            f"unknown scheme {name!r}; known: the ids "
+            f"{', '.join(scheme_ids())}, their labels, or "
+            "base / dms / ams / dmsN"
+        )
+    return definition.label, definition.build()
 
 
 def evaluation_schemes(

@@ -16,9 +16,7 @@ cached blobs never embed baseline-dependent numbers.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import replace
-from typing import Optional
 
 from repro.config.scheduler import AMSMode, DMSMode, SchedulerConfig
 from repro.config.tenants import TenantMixSpec, TenantSpec
@@ -106,13 +104,12 @@ def attach_slowdowns(
     return report
 
 
-def fairness_table(summary: TenantSummary, *, out=None) -> str:
+def fairness_table(summary: TenantSummary) -> str:
     """Render the per-tenant slowdown/fairness/energy table.
 
     One row per tenant: class, served/dropped column accesses, the
     tenant's share of row energy (activation-proportional), and — when
-    :func:`attach_slowdowns` ran — its solo-relative slowdown. Returns
-    the rendered string and, when ``out`` is given, prints it there.
+    :func:`attach_slowdowns` ran — its solo-relative slowdown.
     """
     header = (
         f"{'tenant':<16} {'class':<12} {'served':>8} {'drops':>7} "
@@ -136,15 +133,5 @@ def fairness_table(summary: TenantSummary, *, out=None) -> str:
         if summary.jain_fairness is not None else "-"
     )
     lines.append(f"arbiter {summary.arbiter}   Jain fairness {jain}")
-    text = "\n".join(lines)
-    if out is not None:
-        print(text, file=out)
-    return text
+    return "\n".join(lines)
 
-
-def print_fairness_table(summary: Optional[TenantSummary]) -> None:
-    """Convenience wrapper used by the CLI: stdout, tolerate absence."""
-    if summary is None:
-        print("(single-tenant run: no tenant section)")
-        return
-    fairness_table(summary, out=sys.stdout)

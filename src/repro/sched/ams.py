@@ -65,18 +65,6 @@ class AMSUnit:
         return self._window_index
 
     @property
-    def window_reads(self) -> int:
-        """Reads arrived in the current (open) window — non-destructive
-        telemetry read of the Dyn-AMS per-window ledger."""
-        return self._window_reads
-
-    @property
-    def window_drops(self) -> int:
-        """Reads dropped in the current (open) window — non-destructive
-        telemetry read of the Dyn-AMS per-window ledger."""
-        return self._window_drops
-
-    @property
     def warmed_up(self) -> bool:
         """AMS stays inactive until the L2 has seen enough traffic to give
         the VP unit donor lines (paper: 'we first warm up the L2 cache')."""

@@ -68,14 +68,6 @@ class DMSUnit:
         return self._window_index
 
     @property
-    def state_name(self) -> str:
-        """Name of the dynamic profiling state (telemetry probe);
-        ``"static"``/``"off"`` for the non-dynamic modes."""
-        if self._dynamic:
-            return self._state.value
-        return "static" if self.enabled else "off"
-
-    @property
     def wants_ams_halted(self) -> bool:
         """True while sampling the no-delay baseline (paper: AMS is
         temporarily halted so the baseline BWUTIL is unperturbed)."""

@@ -121,10 +121,6 @@ class PendingQueue:
         """The oldest visible request destined to ``bank``."""
         return next(iter(self._by_bank[bank].values()), None)
 
-    def bank_has_pending(self, bank: int) -> bool:
-        """Whether any visible request targets ``bank``."""
-        return bool(self._by_bank[bank])
-
     def hits_for(self, bank: int, row: int) -> list[MemoryRequest]:
         """Visible requests that would hit the open ``row`` of ``bank``,
         in FIFO order."""
@@ -163,10 +159,6 @@ class PendingQueue:
         if not bucket:
             return False
         return all(r.approximable for r in bucket.values())
-
-    def iter_pending(self) -> Iterable[MemoryRequest]:
-        """All visible requests in FIFO order (diagnostics)."""
-        return iter(self._fifo.values())
 
     def pending_per_bank(self) -> dict[int, int]:
         """Visible pending-request count per bank (non-empty banks only).

@@ -225,20 +225,3 @@ class BatchFairArbiter(TenantArbiter):
         rank = self._rank
         for r, tid in enumerate(order):
             rank[tid] = r
-
-    def estimated_slowdowns(self) -> list[float]:
-        """Per-tenant slowdown estimate from attained-service shares.
-
-        A tenant at exactly its fair share estimates 1.0; one starved
-        to half its share estimates 2.0. Tenants with no service yet
-        estimate ``inf`` (maximally slowed).
-        """
-        total = sum(self._attained)
-        n = len(self._attained)
-        if total <= 0.0:
-            return [1.0] * n
-        fair = total / n
-        return [
-            (fair / a) if a > 0.0 else float("inf")
-            for a in self._attained
-        ]

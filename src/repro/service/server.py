@@ -133,14 +133,6 @@ _REASONS = {
 }
 
 
-class _JobFailed(Exception):
-    """Internal: a job exhausted its retries; carries the CellFailure."""
-
-    def __init__(self, failure: CellFailure) -> None:
-        super().__init__(failure.summary())
-        self.failure = failure
-
-
 class ServiceDaemon:
     """One serving instance: HTTP front, bounded queue, worker tier.
 
@@ -302,7 +294,7 @@ class ServiceDaemon:
         ]
         self._log(
             f"serving on http://{self.host}:{self.port} "
-            f"(workers={self.workers}"
+            f"(workers={self.workers}, "
             f"queue={self.queue_size}, "
             f"cache={self.cache.root if self.cache.enabled else 'off'})"
         )
@@ -468,10 +460,6 @@ class ServiceDaemon:
                 self._note_failure(
                     job, exc.failure.to_dict(), fatal=exc.fatal
                 )
-            except _JobFailed as exc:
-                self._note_failure(
-                    job, exc.failure.to_dict(), fatal=False
-                )
             except Exception as exc:  # daemon bug / unexpected
                 self._note_failure(
                     job,
@@ -528,7 +516,7 @@ class ServiceDaemon:
             except Exception as exc:
                 elapsed += time.perf_counter() - start
                 if attempts > self.retries:
-                    raise _JobFailed(
+                    raise TierExecutionFailed(
                         CellFailure(
                             app=job.app,
                             label=spec.scheduler.name,
@@ -542,7 +530,8 @@ class ServiceDaemon:
                             ),
                             attempts=attempts,
                             elapsed=elapsed,
-                        )
+                        ),
+                        fatal=False,
                     ) from exc
                 # PR 3's deterministic jitter-free exponential backoff.
                 time.sleep(self.retry_backoff * 2.0 ** (attempts - 1))
@@ -612,10 +601,14 @@ class ServiceDaemon:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        try:
-            content_length = int(headers.get("content-length", 0))
-        except ValueError:
-            content_length = 0
+        length = headers.get("content-length", "0")
+        if not length.isdecimal():
+            self._respond(
+                writer, 400,
+                {"error": f"malformed Content-Length header: {length!r}"},
+            )
+            return None
+        content_length = int(length)
         if content_length > _MAX_BODY_BYTES:
             self._respond(writer, 413, {"error": "request body too large"})
             return None

@@ -138,20 +138,6 @@ class TenantSummary:
             return [0.0] * len(self.tenants)
         return [t.activations / total for t in self.tenants]
 
-    def drop_shares(self) -> list[float]:
-        """Each tenant's share of all dropped (approximated) reads."""
-        total = sum(t.requests_dropped for t in self.tenants)
-        if not total:
-            return [0.0] * len(self.tenants)
-        return [t.requests_dropped / total for t in self.tenants]
-
-    def served_shares(self) -> list[float]:
-        """Each tenant's share of DRAM column accesses served."""
-        total = sum(t.requests_served for t in self.tenants)
-        if not total:
-            return [0.0] * len(self.tenants)
-        return [t.requests_served / total for t in self.tenants]
-
     def to_dict(self) -> dict:
         """JSON-serializable snapshot (lossless)."""
         return {

@@ -119,10 +119,6 @@ class Timeline:
         """(window index, X) pairs for one channel (Fig. 9 style)."""
         return [(s.index, s.dms_x[channel]) for s in self.samples]
 
-    def th_rbl_trajectory(self, channel: int = 0) -> list[tuple[int, int]]:
-        """(window index, Th_RBL) pairs for one channel (Fig. 11 style)."""
-        return [(s.index, s.th_rbl[channel]) for s in self.samples]
-
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-serializable snapshot (lossless)."""

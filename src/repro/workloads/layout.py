@@ -108,18 +108,6 @@ class AddressSpace:
         addr = self.addr_of(name, flat_index)
         return addr - addr % self.line_bytes
 
-    def lines_of_range(self, name: str, start: int, stop: int) -> list[int]:
-        """Distinct line-aligned addresses covering elements [start, stop)."""
-        if stop <= start:
-            return []
-        first = self.line_of(name, start)
-        last = self.line_of(name, stop - 1)
-        return list(range(first, last + 1, self.line_bytes))
-
-    def elements_per_line(self, name: str) -> int:
-        """Number of this array's elements in one full line."""
-        return self.line_bytes // self.spec(name).itemsize
-
     # ------------------------------------------------------------------
     # Address -> elements (replay direction)
     # ------------------------------------------------------------------

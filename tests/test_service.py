@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import socket
 
 import pytest
 
@@ -190,6 +191,31 @@ def test_malformed_spec_is_400_naming_the_key_path(tmp_path):
             )
         with pytest.raises(ConfigError, match="unknown workload"):
             client.submit("no-such-app")
+    finally:
+        daemon.stop(drain=False)
+
+
+@pytest.mark.parametrize("length", ["-5", "abc"])
+def test_malformed_content_length_is_400_naming_the_header(
+    tmp_path, length
+):
+    daemon = _daemon(tmp_path, workers=0)
+    daemon.start_in_thread()
+    try:
+        request = (
+            "POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection(
+            (daemon.host, daemon.port), timeout=WAIT
+        ) as sock:
+            sock.sendall(request.encode("latin-1"))
+            response = b""
+            while chunk := sock.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert "Content-Length" in json.loads(body)["error"]
     finally:
         daemon.stop(drain=False)
 

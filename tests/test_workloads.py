@@ -44,13 +44,6 @@ class TestAddressSpace:
         with pytest.raises(WorkloadError):
             space.add("A", np.zeros(4, dtype=np.float32))
 
-    def test_lines_of_range(self) -> None:
-        space, _ = self.make()
-        lines = space.lines_of_range("A", 0, 64)  # 64 floats = 2 lines
-        assert len(lines) == 2
-        assert lines[1] - lines[0] == 128
-        assert space.lines_of_range("A", 5, 5) == []
-
     def test_locate_line_roundtrip(self) -> None:
         space, _ = self.make()
         line = space.line_of("B", 100)
