@@ -137,7 +137,7 @@ class SchedulerConfig:
         self.dms.validate()
         self.ams.validate()
         self.vp.validate()
-        # The arbiter names the candidate selector; consult the plugin
+        # The arbiter names the candidate selector; consult the selector
         # registry (imported lazily — policies import this module).
         from repro.sched.policies import selector_names
 

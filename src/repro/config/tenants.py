@@ -16,7 +16,7 @@ The mix rides on :class:`~repro.sim.spec.SimSpec` as the optional
 ``tenants`` section, so it flows through the codec, the v4 full-payload
 cache key, and ``simulate_spec`` automatically. ``arbiter`` names a
 policy from the *arbiter* registry (:mod:`repro.sched.policies`), the
-fourth string-keyed registry alongside selectors/gates/drops.
+second string-keyed registry beside the selectors.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.errors import ConfigError
 #: The three tenant service classes, strongest contract first.
 TENANT_CLASSES = ("latency", "bandwidth", "approx-batch")
 
-#: Classes whose requests the AMS drop policy may touch.
+#: Classes whose requests the AMS unit may drop.
 APPROXIMABLE_CLASSES = ("approx-batch",)
 
 #: Classes exempt from DMS activation gating (never aged).

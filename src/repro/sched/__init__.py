@@ -1,39 +1,25 @@
-"""Memory scheduling: the composable policy pipeline (candidate
-selectors + activation gates + drop policies) and its command-issue
-engine."""
+"""Memory scheduling: the command-issue engine of paper Fig. 9 with its
+DMS and AMS units and the selector/arbiter registries under them."""
 
 from repro.sched.ams import AMSUnit
 from repro.sched.controller import MemoryController
 from repro.sched.dms import DMSUnit
 from repro.sched.overhead import (
     HardwareBudget,
-    derived_overhead,
     full_lazy_scheduler_overhead,
     scheduler_overhead,
 )
 from repro.sched.pending_queue import PendingQueue
-from repro.sched.policies import (
-    ActivationGate,
-    CandidateSelector,
-    DropPolicy,
-    drop_policy_names,
-    gate_names,
-    selector_names,
-)
+from repro.sched.policies import CandidateSelector, selector_names
 
 __all__ = [
     "AMSUnit",
-    "ActivationGate",
     "CandidateSelector",
     "DMSUnit",
-    "DropPolicy",
     "HardwareBudget",
     "MemoryController",
     "PendingQueue",
-    "derived_overhead",
-    "drop_policy_names",
     "full_lazy_scheduler_overhead",
-    "gate_names",
     "scheduler_overhead",
     "selector_names",
 ]

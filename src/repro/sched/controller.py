@@ -1,27 +1,27 @@
-"""The memory controller: a thin command-issue engine over the policy
-pipeline.
+"""The memory controller: a thin command-issue engine over the DMS and
+AMS units and a candidate selector.
 
 This module implements the design of paper Fig. 9. Request flow:
 
 * (A) L2 misses arrive via :meth:`MemoryController.submit` and buffer in
   the pending queue.
-* (B) The *candidate selector* (plugin, ``SchedulerConfig.arbiter``)
-  proposes the best next DRAM command — FR-FCFS by default: row-buffer
-  hits first (oldest hit first), otherwise the oldest request per bank
-  opens its row, *gated by the activation gate* (C): under DMS the
-  oldest request must have aged at least X cycles before its activation
-  may issue.
-* (D/E) When a row switch is about to happen, the *drop policy* (AMS)
-  may instead drop the request and all pending same-row requests; the VP
+* (B) The *candidate selector* (``SchedulerConfig.arbiter``) proposes
+  the best next DRAM command — FR-FCFS by default: row-buffer hits
+  first (oldest hit first), otherwise the oldest request per bank opens
+  its row, *gated by the DMS unit* (C): the oldest request must have
+  aged at least X cycles before its activation may issue.
+* (D/E) When a row switch is about to happen, the *AMS unit* may
+  instead drop the request and all pending same-row requests; the VP
   unit picks a donor line and the requests are answered immediately with
   approximate data.
 * (F) Normally-served reads reply when their data burst completes.
 
 The controller is event-driven: the service loop issues every command
 whose ready time has arrived and schedules a wake-up at the earliest time
-the next command could issue. The policies themselves live in
-:mod:`repro.sched.policies`; this class only sequences them and talks to
-the channel.
+the next command could issue. It builds its DMS and AMS units itself;
+the selectors and arbiters come from the registries of
+:mod:`repro.sched.policies`. This class only sequences them and talks
+to the channel.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from repro.config.gpu import GPUConfig
 from repro.config.scheduler import AMSMode, DMSMode, SchedulerConfig
 from repro.dram.channel import Channel
 from repro.dram.request import MemoryRequest
+from repro.sched.ams import AMSUnit
+from repro.sched.dms import DMSUnit
 from repro.sched.pending_queue import PendingQueue
 from repro.sched.policies import (
     CandidateSelector,
-    make_drop_policy,
-    make_gate,
+    make_arbiter,
     make_selector,
 )
 from repro.sim.engine import Engine
@@ -78,20 +79,12 @@ class MemoryController:
         self.queue = PendingQueue(
             config.pending_queue_size, config.mapping.banks_per_channel
         )
-        # The policy pipeline: gate (C) and drop policy (D/E) are always
-        # the paper's DMS/AMS units — their OFF modes are pass-throughs —
-        # while the selector (B) is chosen by ``sched_config.arbiter``.
-        self.dms = make_gate("dms", sched_config.dms)
-        self.ams = make_drop_policy("ams", sched_config.ams)
-        self.selector = make_selector(sched_config.arbiter, sched_config)
-        self.selector.bind(queue=self.queue, channel=channel, gate=self.dms)
-        # Stateless selectors don't override on_issue; skip the call
-        # entirely for them (the service loop is the hottest path).
-        self._notify_issue: Optional[Callable] = (
-            self.selector.on_issue
-            if type(self.selector).on_issue is not CandidateSelector.on_issue
-            else None
-        )
+        # The gate (C) and the drop stage (D/E) are always the paper's
+        # DMS and AMS units — their OFF modes are pass-throughs — while
+        # the selector (B) is chosen by ``sched_config.arbiter``.
+        self.dms = DMSUnit(sched_config.dms)
+        self.ams = AMSUnit(sched_config.ams)
+        self._install(make_selector(sched_config.arbiter, sched_config))
         self.drops: list[DropRecord] = []
         self._next_wake: Optional[float] = None
         self._wake_handle: int = -1
@@ -137,26 +130,27 @@ class MemoryController:
         """Install per-tenant accounting and the mix's arbiter.
 
         Swaps the selector for the arbiter named by the
-        :class:`~repro.config.tenants.TenantMixSpec` (re-bound to this
-        controller's queue/channel/gate) and hooks the shared
+        :class:`~repro.config.tenants.TenantMixSpec` (bound to this
+        controller's queue, channel and DMS unit) and hooks the shared
         :class:`~repro.sched.tenants.TenantTracker` into the arrival /
         issue / drop paths. Called only for multi-tenant runs, before
         any traffic — single-tenant controllers never take this path.
         """
-        from repro.sched.policies import make_arbiter
-
         self.tenants = tracker
-        selector = make_arbiter(mix.arbiter, self.sched_config, mix)
-        selector.bind(
-            queue=self.queue, channel=self.channel, gate=self.dms
-        )
+        self._install(make_arbiter(mix.arbiter, self.sched_config, mix))
+        self._cached_candidate = None
+
+    def _install(self, selector: CandidateSelector) -> None:
+        """Bind ``selector`` to this controller and serve with it."""
+        selector.bind(queue=self.queue, channel=self.channel, dms=self.dms)
         self.selector = selector
-        self._notify_issue = (
+        # Stateless selectors don't override on_issue; skip the call
+        # entirely for them (the service loop is the hottest path).
+        self._notify_issue: Optional[Callable] = (
             selector.on_issue
             if type(selector).on_issue is not CandidateSelector.on_issue
             else None
         )
-        self._cached_candidate = None
 
     # ------------------------------------------------------------------
     # Ingress (A)

@@ -3,19 +3,14 @@
 The paper enumerates the additional hardware each unit needs on top of the
 baseline memory controller and concludes: 1 multiplier, 11 adders, 1 MUX,
 3 comparators and 498 bits of buffer space. This module encodes that
-inventory so the claim is checkable and can be re-derived per scheme —
-and, via :func:`derived_overhead`, re-derived with counter widths sized
-to the actual configuration and DRAM device instead of the paper's fixed
-field widths.
+inventory so the claim is checkable and can be re-derived per scheme.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.config.scheduler import AMSMode, DMSMode, SchedulerConfig
-from repro.dram.devices import DeviceModel
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,93 +72,6 @@ def scheduler_overhead(config: SchedulerConfig) -> HardwareBudget:
         total = total + AMS_COMMON + VP_UNIT
         if config.ams.mode is AMSMode.DYNAMIC:
             total = total + DYN_AMS_EXTRA
-    return total
-
-
-def _width_bits(max_value: int) -> int:
-    """Bits needed for an unsigned counter holding 0..max_value."""
-    return max(1, int(max_value).bit_length())
-
-
-def derived_overhead(
-    config: SchedulerConfig,
-    device: Optional[DeviceModel] = None,
-    *,
-    ecc: Optional[str] = None,
-) -> HardwareBudget:
-    """Per-controller hardware with counter widths derived, not assumed.
-
-    The paper's inventory (Section IV-E) fixes its register widths to
-    the evaluated GDDR5 configuration (16-bit delay, 8-bit Th_RBL, ...).
-    This variant sizes the width-dependent storage from the actual
-    configuration — the delay counter from ``dms.max_delay``, the
-    profiling cycle counter from the window length, the phase counter
-    from ``windows_per_phase``, the threshold register from
-    ``ams.max_th_rbl`` — and, when a :class:`DeviceModel` is given, adds
-    the refresh-interval counter its ``tREFI`` requires. The datapath
-    inventory (multipliers/adders/muxes/comparators) is unchanged; only
-    buffer bits vary. Useful for judging how the overhead claim scales
-    to other devices and window settings.
-
-    ``ecc`` (a registered code name) adds the controller-side
-    check/correct hardware: one XOR-tree "adder" per check bit of the
-    device's word width, one comparator for the zero-syndrome test, and
-    a syndrome register. ``"none"`` and ``None`` add nothing.
-    """
-    total = HardwareBudget()
-    if config.dms.mode is not DMSMode.OFF:
-        total = total + HardwareBudget(
-            adders=DMS_COMMON.adders,
-            comparators=DMS_COMMON.comparators,
-            buffer_bits=_width_bits(config.dms.max_delay),
-        )
-        if config.dms.mode is DMSMode.DYNAMIC:
-            total = total + HardwareBudget(
-                # Baseline + current BWUTIL accumulators still need the
-                # paper's 32-bit fixed-point precision each; the cycle
-                # and window counters shrink with the configuration.
-                buffer_bits=32 + 32
-                + _width_bits(config.dms.window_cycles)
-                + _width_bits(config.dms.windows_per_phase)
-            )
-    if config.ams.mode is not AMSMode.OFF:
-        total = total + HardwareBudget(
-            multipliers=AMS_COMMON.multipliers,
-            adders=AMS_COMMON.adders,
-            comparators=AMS_COMMON.comparators,
-            # Conditions + 64-bit ledgers + dropped-row index are
-            # configuration-independent; RBL counter and Th_RBL register
-            # are sized by the threshold range.
-            buffer_bits=1 + 1 + 64 + 64 + 32
-            + 2 * _width_bits(config.ams.max_th_rbl),
-        ) + VP_UNIT
-        if config.ams.mode is AMSMode.DYNAMIC:
-            total = total + HardwareBudget(
-                buffer_bits=_width_bits(config.ams.window_cycles)
-            )
-    if device is not None and (
-        config.dms.mode is not DMSMode.OFF
-        or config.ams.mode is not AMSMode.OFF
-    ):
-        # Gated activations must still respect the device's refresh
-        # schedule; the unit tracks cycles-to-next-refresh in a counter
-        # sized by tREFI.
-        total = total + HardwareBudget(
-            buffer_bits=_width_bits(device.timings.tREFI)
-        )
-    if ecc is not None and ecc != "none":
-        from repro.dram.ecc import DEFAULT_ECC_WORD_BITS, get_ecc
-
-        word_bits = (
-            device.ecc_word_bits if device is not None
-            else DEFAULT_ECC_WORD_BITS
-        )
-        check = get_ecc(ecc).check_bits(word_bits)
-        total = total + HardwareBudget(
-            adders=check,  # one XOR tree per syndrome/check bit
-            comparators=1,  # zero-syndrome test
-            buffer_bits=check,  # syndrome register
-        )
     return total
 
 

@@ -1,16 +1,16 @@
-"""Composable scheduler-policy registries.
+"""The two scheduler-policy registries.
 
 Importing this package registers the built-in policies:
 
 * candidate selectors — ``frfcfs`` (paper baseline), ``fcfs``,
   ``frfcfs-cap``;
-* activation gates — ``dms`` (paper Section IV-B), ``none``;
-* drop policies — ``ams`` (paper Section IV-C), ``none``;
 * multi-tenant arbiters — ``shared-frfcfs``, ``tenant-priority``,
   ``batch-fair``.
 
-See :mod:`repro.sched.policies.base` for the plugin contracts and
-registration functions.
+The activation gate and the drop stage have one implementation each,
+the paper's DMS and AMS units, which the memory controller builds
+itself. See :mod:`repro.sched.policies.base` for the selector contract
+and the registration functions.
 """
 
 from repro.sched.policies.arbiters import (
@@ -22,25 +22,15 @@ from repro.sched.policies.arbiters import (
 from repro.sched.policies.base import (
     COL_PRIORITY,
     SWITCH_PRIORITY,
-    ActivationGate,
     Candidate,
     CandidateSelector,
-    DropPolicy,
     arbiter_names,
-    drop_policy_names,
-    gate_names,
     make_arbiter,
-    make_drop_policy,
-    make_gate,
     make_selector,
     register_arbiter,
-    register_drop_policy,
-    register_gate,
     register_selector,
     selector_names,
 )
-from repro.sched.policies.drops import NullDropPolicy
-from repro.sched.policies.gates import NullGate
 from repro.sched.policies.selectors import (
     FCFSSelector,
     FRFCFSCapSelector,
@@ -48,31 +38,21 @@ from repro.sched.policies.selectors import (
 )
 
 __all__ = [
-    "ActivationGate",
     "BatchFairArbiter",
     "COL_PRIORITY",
     "Candidate",
     "CandidateSelector",
-    "DropPolicy",
     "FCFSSelector",
     "FRFCFSCapSelector",
     "FRFCFSSelector",
-    "NullDropPolicy",
-    "NullGate",
     "SWITCH_PRIORITY",
     "SharedFRFCFSArbiter",
     "TenantArbiter",
     "TenantPriorityArbiter",
     "arbiter_names",
-    "drop_policy_names",
-    "gate_names",
     "make_arbiter",
-    "make_drop_policy",
-    "make_gate",
     "make_selector",
     "register_arbiter",
-    "register_drop_policy",
-    "register_gate",
     "register_selector",
     "selector_names",
 ]

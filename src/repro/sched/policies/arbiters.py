@@ -13,8 +13,8 @@ share one fold over the pending queue, parameterised by a per-tenant
   only ``key[0]`` (the ready time). Ranks break ready-time ties, so the
   channel never idles to favour a class: a work-conserving strict
   priority, the way real controllers arbitrate among *ready* commands;
-* DMS gating is scoped per tenant: the activation gate applies only to
-  tenants whose class permits it (``latency`` tenants are never aged).
+* DMS gating is scoped per tenant: it applies only to tenants whose
+  class permits it (``latency`` tenants are never aged).
   AMS drop scoping needs no arbiter help — the trace composer strips
   the ``approximable`` annotation from every non-``approx-batch``
   tenant's accesses, so ``row_all_approximable`` structurally excludes

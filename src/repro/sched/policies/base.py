@@ -1,23 +1,26 @@
-"""Plugin interfaces of the composable scheduler-policy pipeline.
+"""The candidate-selector contract and the two policy registries.
 
-The memory controller used to hard-wire three decisions into one class;
-they are now three independently pluggable roles (paper Fig. 9 letters
-in parentheses):
+The memory controller runs three stages of paper Fig. 9 (letters in
+parentheses), split the way the staged scheduler designs of
+Ausavarungnirun et al. split them:
 
 * **Candidate selector** (B) — scans the pending queue and proposes the
   single best next DRAM command as a :data:`Candidate`. FR-FCFS is the
-  paper's baseline; FCFS and FR-FCFS-with-streak-cap are comparison
-  baselines (cf. the staged/decomposed scheduler designs of
-  Ausavarungnirun et al.).
-* **Activation gate** (C) — may defer the command that commits to
-  opening a new row. The paper's DMS unit is the canonical gate.
-* **Drop policy** (D/E) — may answer a row's pending requests with
-  predicted values instead of opening the row. The paper's AMS unit is
-  the canonical drop policy.
+  paper's baseline; FCFS and FR-FCFS-with-streak-cap are the Section
+  II-C comparison baselines, and the multi-tenant arbiters are
+  selectors too.
+* **Activation gate** (C) — the paper's DMS unit
+  (:class:`~repro.sched.dms.DMSUnit`) may defer the command that
+  commits to opening a new row.
+* **Drop stage** (D/E) — the paper's AMS unit
+  (:class:`~repro.sched.ams.AMSUnit`) may answer a row's pending
+  requests with predicted values instead of opening the row.
 
-Each role has a string-keyed registry so new policies compose with the
-existing ones declaratively (``SchedulerConfig.arbiter`` /
-``harness.schemes``) without touching the controller's hot path.
+Only the selector stage has alternatives, so only it is pluggable: a
+string-keyed registry of selectors (``SchedulerConfig.arbiter``) and
+one of multi-tenant arbiters (``TenantMixSpec.arbiter``). The
+controller builds the DMS and AMS units itself; their OFF modes are
+pass-throughs.
 
 A candidate is a plain tuple — the selector runs once per issued DRAM
 command, on the simulator's hottest loop, so no wrapper object is worth
@@ -34,15 +37,16 @@ its allocation::
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, ClassVar, Optional
+from typing import TYPE_CHECKING, ClassVar, Optional
 
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.config.scheduler import AMSConfig, DMSConfig, SchedulerConfig
+    from repro.config.scheduler import SchedulerConfig
     from repro.config.tenants import TenantMixSpec
     from repro.dram.channel import Channel
     from repro.dram.request import MemoryRequest
+    from repro.sched.dms import DMSUnit
     from repro.sched.pending_queue import PendingQueue
 
 #: (key, kind, bank, request) — see module docstring.
@@ -60,10 +64,10 @@ class CandidateSelector(ABC):
     """Scans the pending queue and proposes the next DRAM command.
 
     Lifecycle: constructed from the :class:`SchedulerConfig`, then
-    :meth:`bind`-ed once to its controller's queue/channel/gate (bound
-    methods are hoisted to attributes there — ``select`` runs once per
-    issued command). ``select`` must be read-only: it may not mutate
-    the queue, the banks, or the gate.
+    :meth:`bind`-ed once to its controller's queue, channel and DMS
+    unit (bound methods are hoisted to attributes there — ``select``
+    runs once per issued command). ``select`` must be read-only: it may
+    not mutate the queue, the banks, or the DMS unit.
     """
 
     #: Registry key; also the ``SchedulerConfig.arbiter`` value.
@@ -78,7 +82,7 @@ class CandidateSelector(ABC):
         *,
         queue: "PendingQueue",
         channel: "Channel",
-        gate: "ActivationGate",
+        dms: "DMSUnit",
     ) -> None:
         """Attach to one controller; hoist the hot-path state.
 
@@ -91,22 +95,16 @@ class CandidateSelector(ABC):
         bus, last ACT) are rebound per issue and are re-read inside each
         ``select`` call instead.
         """
-        self._queue = queue
         self._channel = channel
         self._banks = channel.banks
-        self._gate = gate
-        self._earliest_eligible = gate.earliest_eligible
-        #: The gate's OFF mode maps enqueue_time -> enqueue_time, and a
-        #: visible request always enqueued at or before ``now`` — below
-        #: every ready time — so a disabled gate is skipped entirely.
+        self._earliest_eligible = dms.earliest_eligible
+        #: DMS OFF maps enqueue_time -> enqueue_time, and a visible
+        #: request always enqueued at or before ``now`` — below every
+        #: ready time — so a disabled unit is skipped entirely.
         #: ``enabled`` is mode-derived and constant for a run.
-        self._gate_enabled = gate.enabled
-        self._banks_with_pending = queue.banks_with_pending
-        self._oldest_for_bank = queue.oldest_for_bank
+        self._gate_enabled = dms.enabled
         self._oldest_hit_for = queue.oldest_hit_for
-        self._column_ready_time = channel.column_ready_time
         self._precharge_ready_time = channel.precharge_ready_time
-        self._activate_ready_time = channel.activate_ready_time
         # Live internal indexes (aliases; read-only in select).
         self._pending_banks = queue.banks_with_pending()
         self._by_bank = queue._by_bank
@@ -150,86 +148,12 @@ class CandidateSelector(ABC):
         return best
 
 
-class ActivationGate(ABC):
-    """Decides *when* a row-opening command becomes eligible.
-
-    The contract mirrors the paper's DMS unit: the gate maps a pending
-    request's enqueue time to the earliest simulation time at which the
-    command that would open its row (PRE on an open bank, ACT on a
-    closed one) may be considered. Row hits are never gated.
-    """
-
-    name: ClassVar[str] = ""
-
-    @property
-    @abstractmethod
-    def enabled(self) -> bool:
-        """Whether the gate constrains anything at all."""
-
-    @property
-    @abstractmethod
-    def current_delay(self) -> float:
-        """The delay currently enforced (telemetry probe)."""
-
-    @property
-    @abstractmethod
-    def wants_ams_halted(self) -> bool:
-        """True while the gate needs the drop policy paused (Dyn-DMS
-        samples its no-delay baseline with AMS halted)."""
-
-    @abstractmethod
-    def earliest_eligible(self, enqueue_time: float) -> float:
-        """Earliest time a row-opening request enqueued at
-        ``enqueue_time`` may be considered for scheduling."""
-
-    def on_window(self, bwutil: float) -> None:
-        """Consume one profiling window's bus utilisation."""
-
-
-class DropPolicy(ABC):
-    """Decides whether a prospective row activation should be elided by
-    dropping its pending requests (answered by the value predictor).
-    """
-
-    name: ClassVar[str] = ""
-
-    @property
-    @abstractmethod
-    def enabled(self) -> bool:
-        """Whether the policy can ever drop."""
-
-    @property
-    @abstractmethod
-    def coverage(self) -> float:
-        """Cumulative dropped / arrived reads (the paper's coverage)."""
-
-    @abstractmethod
-    def may_drop(
-        self, queue: "PendingQueue", bank: int, row: int
-    ) -> bool:
-        """Whether the activation of ``(bank, row)`` should be elided."""
-
-    def set_halted(self, halted: bool) -> None:
-        """Pause/resume dropping (driven by the gate's baseline probe)."""
-
-    def on_read_arrival(self) -> None:
-        """Count an arriving global read (the coverage denominator)."""
-
-    def on_drop(self, count: int = 1) -> None:
-        """Count ``count`` dropped reads."""
-
-    def on_window(self) -> None:
-        """Close one profiling window (dynamic threshold control)."""
-
-
 # ----------------------------------------------------------------------
 # Registries
 # ----------------------------------------------------------------------
 _SELECTORS: dict[str, type[CandidateSelector]] = {}
-_GATES: dict[str, Callable[["DMSConfig"], ActivationGate]] = {}
-_DROP_POLICIES: dict[str, Callable[["AMSConfig"], DropPolicy]] = {}
 #: Multi-tenant arbiters: selectors constructed with (config, mix) that
-#: share one controller among N tenant streams. The fourth registry,
+#: share one controller among N tenant streams. The second registry,
 #: keyed by ``TenantMixSpec.arbiter`` (``SchedulerConfig.arbiter`` keeps
 #: naming a plain *selector* for single-tenant runs).
 _ARBITERS: dict[str, type[CandidateSelector]] = {}
@@ -262,54 +186,6 @@ def make_selector(
 def selector_names() -> list[str]:
     """Sorted names of every registered candidate selector."""
     return sorted(_SELECTORS)
-
-
-def register_gate(
-    name: str, factory: Callable[["DMSConfig"], ActivationGate]
-) -> None:
-    """Register an activation-gate factory under ``name``."""
-    _GATES[name] = factory
-
-
-def make_gate(name: str, config: "DMSConfig") -> ActivationGate:
-    """Instantiate the registered activation gate ``name``."""
-    try:
-        factory = _GATES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown activation gate {name!r}; "
-            f"registered: {', '.join(sorted(_GATES))}"
-        ) from None
-    return factory(config)
-
-
-def gate_names() -> list[str]:
-    """Sorted names of every registered activation gate."""
-    return sorted(_GATES)
-
-
-def register_drop_policy(
-    name: str, factory: Callable[["AMSConfig"], DropPolicy]
-) -> None:
-    """Register a drop-policy factory under ``name``."""
-    _DROP_POLICIES[name] = factory
-
-
-def make_drop_policy(name: str, config: "AMSConfig") -> DropPolicy:
-    """Instantiate the registered drop policy ``name``."""
-    try:
-        factory = _DROP_POLICIES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown drop policy {name!r}; "
-            f"registered: {', '.join(sorted(_DROP_POLICIES))}"
-        ) from None
-    return factory(config)
-
-
-def drop_policy_names() -> list[str]:
-    """Sorted names of every registered drop policy."""
-    return sorted(_DROP_POLICIES)
 
 
 def register_arbiter(

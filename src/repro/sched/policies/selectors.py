@@ -42,7 +42,7 @@ class FRFCFSSelector(CandidateSelector):
     The paper's baseline arbiter. Per bank, the oldest pending row hit
     competes as a column command; a bank with no hits competes with the
     command that opens its oldest request's row (PRE when a stale row is
-    open, ACT otherwise), gated by the activation gate.
+    open, ACT otherwise), gated by the DMS unit.
     """
 
     name = "frfcfs"

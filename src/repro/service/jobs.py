@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 import time
 import uuid
@@ -87,7 +88,7 @@ def job_content_key(
     return CellSpec(app=app, scale=scale, seed=seed, spec=spec).key
 
 
-def _apply_priority_class(spec_payload: Any, priority: int) -> Any:
+def _apply_priority_class(spec_payload: dict, priority: int) -> dict:
     """Default the tenant class of a raw spec payload from job priority.
 
     Operates on the *undecoded* JSON body: a decoded
@@ -99,8 +100,6 @@ def _apply_priority_class(spec_payload: Any, priority: int) -> Any:
     HTTP priority queue and the DRAM arbiter honour the same contract.
     Never mutates the caller's payload.
     """
-    if not isinstance(spec_payload, dict):
-        return spec_payload
     mix = spec_payload.get("tenants")
     if not isinstance(mix, dict):
         return spec_payload
@@ -198,16 +197,27 @@ class Job:
                 f"(known: {', '.join(list_workloads())})"
             )
         scale = payload.get("scale", 1.0)
+        # json.loads accepts NaN and +-Infinity, which a plain
+        # ``scale <= 0`` test lets through.
         if not isinstance(scale, (int, float)) or isinstance(scale, bool) \
-                or scale <= 0:
-            raise ConfigError("job field 'scale' must be a positive number")
+                or not 0 < scale < math.inf:
+            raise ConfigError(
+                "job field 'scale' must be a positive finite number"
+            )
         seed = payload.get("seed", 7)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError("job field 'seed' must be an integer")
         priority = payload.get("priority", 0)
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise ConfigError("job field 'priority' must be an integer")
-        spec_payload = payload.get("spec") or {}
+        spec_payload = payload.get("spec")
+        if spec_payload is None:
+            spec_payload = {}
+        elif not isinstance(spec_payload, dict):
+            raise ConfigError(
+                "job field 'spec' must be a JSON object or null, "
+                f"got {type(spec_payload).__name__}"
+            )
         spec_payload = _apply_priority_class(spec_payload, priority)
         spec = SimSpec.from_dict(spec_payload)
         spec.validate()

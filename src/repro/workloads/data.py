@@ -11,7 +11,6 @@ workload the Table II error-tolerance level:
   (High tolerance).
 * :func:`rough_field` — zero-mean white noise: neighbour prediction is
   uninformative and sums suffer cancellation (Low tolerance).
-* :func:`mixed_field` — a blend (Medium tolerance).
 """
 
 from __future__ import annotations
@@ -53,19 +52,6 @@ def rough_field(
     if isinstance(shape, int):
         shape = (shape,)
     return (scale * rng.standard_normal(shape)).astype(np.float32)
-
-
-def mixed_field(
-    rng: np.random.Generator,
-    shape: tuple[int, ...] | int,
-    *,
-    noise: float = 0.25,
-) -> np.ndarray:
-    """Smooth base plus a noise component (Medium tolerance)."""
-    base = smooth_field(rng, shape)
-    return (base * (1.0 + noise * rng.standard_normal(base.shape))).astype(
-        np.float32
-    )
 
 
 def offset_noise(

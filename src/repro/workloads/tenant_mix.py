@@ -193,21 +193,3 @@ class TenantMix(Workload):
             )
             start = stop
         return float(np.mean(errors)) if errors else 0.0
-
-    def member_errors(self, exact, approx) -> list[float]:
-        """Per-tenant output errors (roster order); multi-tenant only."""
-        if not self.mix.multi:
-            return [self._members[0].output_error(exact, approx)]
-        if self._out_lengths is None:
-            raise WorkloadError("run_kernel must run before member_errors")
-        errors = []
-        start = 0
-        for member, length in zip(self._members, self._out_lengths):
-            stop = start + length
-            errors.append(
-                float(
-                    member.output_error(exact[start:stop], approx[start:stop])
-                )
-            )
-            start = stop
-        return errors

@@ -3,7 +3,7 @@
 ``tests/golden/seed_reports.json`` pins the full ``SimReport.to_dict()``
 payload of eight paper schemes, produced by the monolithic controller
 the seed shipped with. These tests assert the refactored pipeline —
-registry selectors, activation gates, drop policies, :class:`SimSpec` —
+registry selectors, the DMS and AMS units, :class:`SimSpec` —
 reproduces every payload *field-identically*, and that the named
 ``gddr5`` device preset is indistinguishable from the legacy no-device
 path.

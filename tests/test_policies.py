@@ -1,9 +1,9 @@
 """Policy-registry and candidate-selector behaviour tests.
 
-The registry API tests pin the plugin surface (names, error messages,
-virtual-subclass adoption of the verified DMS/AMS units). The behaviour
-tests drive the controller through scripted traces — the same harness
-as ``test_controller.py`` — to prove the three selectors actually
+The registry API tests pin the selector registry (names, error
+messages, the name requirement). The behaviour tests drive the
+controller through scripted traces — the same harness as
+``test_controller.py`` — to prove the three selectors actually
 implement different arbitration:
 
 * ``fcfs`` serves strictly in age order (no row-hit bypass);
@@ -18,26 +18,16 @@ import pytest
 from repro.config import (
     AMSConfig,
     DMSConfig,
-    GPUConfig,
     SchedulerConfig,
     baseline_scheduler,
 )
 from repro.dram.request import reset_request_ids
 from repro.errors import ConfigError
-from repro.sched import AMSUnit, DMSUnit
 from repro.sched.policies import (
-    ActivationGate,
     CandidateSelector,
-    DropPolicy,
     FCFSSelector,
     FRFCFSCapSelector,
     FRFCFSSelector,
-    NullDropPolicy,
-    NullGate,
-    drop_policy_names,
-    gate_names,
-    make_drop_policy,
-    make_gate,
     make_selector,
     selector_names,
 )
@@ -48,8 +38,6 @@ from tests.test_controller import Harness
 class TestRegistries:
     def test_builtin_names_registered(self) -> None:
         assert {"fcfs", "frfcfs", "frfcfs-cap"} <= set(selector_names())
-        assert {"dms", "none"} <= set(gate_names())
-        assert {"ams", "none"} <= set(drop_policy_names())
 
     def test_make_selector_builds_registered_classes(self) -> None:
         cfg = SchedulerConfig()
@@ -60,33 +48,6 @@ class TestRegistries:
     def test_unknown_names_raise_and_list_registered(self) -> None:
         with pytest.raises(ConfigError, match="frfcfs"):
             make_selector("lifo", SchedulerConfig())
-        with pytest.raises(ConfigError, match="dms"):
-            make_gate("never", DMSConfig())
-        with pytest.raises(ConfigError, match="ams"):
-            make_drop_policy("always", AMSConfig())
-
-    def test_verified_units_adopted_as_virtual_subclasses(self) -> None:
-        assert issubclass(DMSUnit, ActivationGate)
-        assert issubclass(AMSUnit, DropPolicy)
-        assert DMSUnit.name == "dms"
-        assert AMSUnit.name == "ams"
-        assert isinstance(make_gate("dms", DMSConfig()), ActivationGate)
-        assert isinstance(make_drop_policy("ams", AMSConfig()), DropPolicy)
-
-    def test_null_gate_is_pass_through(self) -> None:
-        gate = make_gate("none", DMSConfig())
-        assert isinstance(gate, NullGate)
-        assert not gate.enabled
-        assert gate.current_delay == 0.0
-        assert not gate.wants_ams_halted
-        assert gate.earliest_eligible(17.5) == 17.5
-
-    def test_null_drop_policy_never_drops(self) -> None:
-        policy = make_drop_policy("none", AMSConfig())
-        assert isinstance(policy, NullDropPolicy)
-        assert not policy.enabled
-        assert policy.coverage == 0.0
-        assert not policy.may_drop(None, bank=0, row=1)
 
     def test_selector_without_name_rejected(self) -> None:
         from repro.sched.policies.base import register_selector

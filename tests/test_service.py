@@ -195,6 +195,37 @@ def test_malformed_spec_is_400_naming_the_key_path(tmp_path):
         daemon.stop(drain=False)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("scale", float("nan")), ("scale", float("inf")),
+    ("scale", float("-inf")),
+    ("spec", []), ("spec", [1]), ("spec", 0), ("spec", False),
+    ("spec", ""),
+])
+def test_malformed_job_field_is_rejected_naming_it(field, value):
+    with pytest.raises(ConfigError, match=f"job field '{field}'"):
+        Job.from_request({"app": "SCP", field: value})
+
+
+def test_null_or_absent_spec_is_the_default_spec():
+    assert Job.from_request({"app": "SCP", "spec": None}).spec == SimSpec()
+    assert Job.from_request({"app": "SCP"}).spec == SimSpec()
+
+
+def test_nonfinite_scale_and_non_object_spec_are_400(tmp_path):
+    # json.dumps writes NaN as a bare token, which json.loads accepts.
+    daemon = _daemon(tmp_path, workers=0)
+    daemon.start_in_thread()
+    try:
+        client = ServiceClient(port=daemon.port)
+        with pytest.raises(ConfigError, match="job field 'scale'"):
+            client.submit("SCP", scale=float("nan"))
+        with pytest.raises(ConfigError, match="job field 'spec'"):
+            client.submit("SCP", spec=[])
+        assert len(daemon.queue) == 0
+    finally:
+        daemon.stop(drain=False)
+
+
 @pytest.mark.parametrize("length", ["-5", "abc"])
 def test_malformed_content_length_is_400_naming_the_header(
     tmp_path, length
