@@ -5,34 +5,34 @@ reduced-latency, reduced-energy DRAM introduces; this module closes the
 reliability loop the ROADMAP asks for. It provides:
 
 * a string-keyed **ECC code registry** (``none`` / ``parity`` /
-  ``secded`` / ``bch``) mirroring the device and policy registries —
-  every code is a real implementation (single-parity, Hamming SEC-DED,
-  and a binary BCH over GF(2^m) with Berlekamp–Massey decoding), not a
-  lookup table, so the property tests in ``tests/test_ecc.py`` exercise
-  genuine encode→corrupt→decode round trips;
+  ``secded`` / ``bch``) mirroring the device and policy registries.
+  Each code states its stored width (:meth:`ECCCode.check_bits`), its
+  guarantee (``correct_t`` / ``detect_d``) and :meth:`ECCCode.classify`,
+  which maps the number of flips in one word to its outcome,
+  pessimistically treating anything beyond the guarantee as silent
+  corruption (a bounded-distance decoder may detect some of those
+  patterns, but may also miscorrect; FIT uses the worst case);
 * a **deterministic fault injector** that flips stored bits on DRAM
   reads with a probability derived from the timing scheme (lower
   tRCD/tRP ⇒ exponentially more flips — see
   :class:`~repro.config.faults.FaultConfig`), seeded from the SimSpec
   content key so identical specs produce identical flip sites across
-  serial, process-parallel, and thread-parallel runs;
+  serial and process-parallel runs;
 * the **read-path state machine** (:class:`ReadPathECC`) a channel
   carries when ECC or fault injection is active: writes pay encode
-  energy, served reads pay inject→decode, and AMS-dropped reads are
+  energy, served reads pay inject→check, and AMS-dropped reads are
   counted as *spared* — they never touch the faulty cell;
 * analytic **FIT** (silent-corruption failures per 10^9 device-hours)
   and **carbon-per-GiB-year** estimators combining the code's
   storage overhead with the simulated energy.
 
-Two decode views coexist deliberately. :meth:`ECCCode.decode` is the
-bit-exact path (used by the property suite): given a corrupted codeword
-it corrects/detects according to the code's real algebra.
-:meth:`ECCCode.classify` is the statistical path the simulator uses —
-the injector knows only *how many* bits flipped per word, and classify
-maps that count to the guaranteed outcome, pessimistically treating
-anything beyond the code's guarantee as silent corruption (a
-bounded-distance decoder may detect some of those patterns, but may
-also miscorrect; FIT uses the worst case).
+The injector knows only *how many* bits flipped per word, so the
+simulator never encodes or decodes a word. The bit-exact codecs
+(single parity, Hamming SEC-DED, and binary BCH over GF(2^m) with
+Berlekamp–Massey and Chien search) live in ``tests/test_ecc.py`` as the
+oracle: they check every code's guarantee, pin the BCH check-bit count
+against the real generator polynomial, and check that ``classify``
+never reports a better outcome than the decoder achieves.
 """
 
 from __future__ import annotations
@@ -76,16 +76,8 @@ class ECCStatus(enum.Enum):
     SILENT = "silent"
 
 
-@dataclass(frozen=True, slots=True)
-class DecodeResult:
-    """Decoded data word plus the decoder's verdict."""
-
-    data: int
-    status: ECCStatus
-
-
 class ECCCode:
-    """One error-correcting code; subclasses implement the algebra.
+    """One error-correcting code, as the read path sees it.
 
     ``correct_t`` / ``detect_d`` state the code's guarantee: any
     pattern of up to ``correct_t`` flips decodes back to the original
@@ -113,16 +105,7 @@ class ECCCode:
         """Stored bits per data bit (>= 1.0)."""
         return self.codeword_bits(data_bits) / data_bits
 
-    # -- bit-exact path ------------------------------------------------
-    def encode(self, data: int, data_bits: int) -> int:
-        """Data word -> stored codeword (both as unsigned ints)."""
-        raise NotImplementedError
-
-    def decode(self, codeword: int, data_bits: int) -> DecodeResult:
-        """Stored codeword -> data word + verdict."""
-        raise NotImplementedError
-
-    # -- statistical path ----------------------------------------------
+    # -- outcomes ------------------------------------------------------
     def classify(self, flips: int) -> ECCStatus:
         """Guaranteed outcome of ``flips`` bit errors in one codeword.
 
@@ -157,16 +140,6 @@ class NoECC(ECCCode):
         self._check_width(data_bits)
         return 0
 
-    def encode(self, data: int, data_bits: int) -> int:
-        self._check_width(data_bits)
-        return data & ((1 << data_bits) - 1)
-
-    def decode(self, codeword: int, data_bits: int) -> DecodeResult:
-        self._check_width(data_bits)
-        return DecodeResult(
-            data=codeword & ((1 << data_bits) - 1), status=ECCStatus.CLEAN
-        )
-
 
 class ParityCode(ECCCode):
     """Single even-parity bit: detects every odd number of flips."""
@@ -180,20 +153,6 @@ class ParityCode(ECCCode):
         self._check_width(data_bits)
         return 1
 
-    def encode(self, data: int, data_bits: int) -> int:
-        self._check_width(data_bits)
-        data &= (1 << data_bits) - 1
-        parity = _parity(data)
-        return data | (parity << data_bits)
-
-    def decode(self, codeword: int, data_bits: int) -> DecodeResult:
-        self._check_width(data_bits)
-        data = codeword & ((1 << data_bits) - 1)
-        status = (
-            ECCStatus.DETECTED if _parity(codeword) else ECCStatus.CLEAN
-        )
-        return DecodeResult(data=data, status=status)
-
     def classify(self, flips: int) -> ECCStatus:
         if flips <= 0:
             return ECCStatus.CLEAN
@@ -203,9 +162,9 @@ class ParityCode(ECCCode):
 class SECDEDCode(ECCCode):
     """Extended Hamming: corrects any 1 flip, detects any 2.
 
-    Standard construction: Hamming check bits at power-of-two positions
-    ``1..n`` of the codeword, data bits filling the rest, plus one
-    overall parity bit at position 0 extending the distance to 4.
+    ``r`` Hamming check bits (smallest ``r`` with
+    ``2^r >= data_bits + r + 1``) plus one overall parity bit extending
+    the distance to 4.
     """
 
     name = "secded"
@@ -224,147 +183,15 @@ class SECDEDCode(ECCCode):
         self._check_width(data_bits)
         return self._hamming_r(data_bits) + 1  # + overall parity
 
-    @staticmethod
-    def _data_positions(data_bits: int, r: int) -> list[int]:
-        n = data_bits + r
-        return [p for p in range(1, n + 1) if p & (p - 1)]
-
-    def encode(self, data: int, data_bits: int) -> int:
-        self._check_width(data_bits)
-        data &= (1 << data_bits) - 1
-        r = self._hamming_r(data_bits)
-        n = data_bits + r
-        cw = 0
-        for i, pos in enumerate(self._data_positions(data_bits, r)):
-            if (data >> i) & 1:
-                cw |= 1 << pos
-        for j in range(r):
-            check_pos = 1 << j
-            parity = 0
-            for pos in range(1, n + 1):
-                if pos & check_pos and pos != check_pos:
-                    parity ^= (cw >> pos) & 1
-            if parity:
-                cw |= 1 << check_pos
-        if _parity(cw >> 1):
-            cw |= 1  # overall parity at position 0
-        return cw
-
-    def decode(self, codeword: int, data_bits: int) -> DecodeResult:
-        self._check_width(data_bits)
-        r = self._hamming_r(data_bits)
-        n = data_bits + r
-        syndrome = 0
-        for pos in range(1, n + 1):
-            if (codeword >> pos) & 1:
-                syndrome ^= pos
-        overall = _parity(codeword & ((1 << (n + 1)) - 1))
-        status = ECCStatus.CLEAN
-        if syndrome == 0 and overall == 0:
-            pass
-        elif overall:
-            # Odd flip count: single-bit error, correctable when the
-            # syndrome names a real position (0 = the parity bit).
-            if syndrome <= n:
-                codeword ^= 1 << syndrome  # syndrome 0 flips bit 0
-                status = ECCStatus.CORRECTED
-            else:
-                status = ECCStatus.DETECTED
-        else:
-            # Even flip count with a nonzero syndrome: double error.
-            status = ECCStatus.DETECTED
-        data = 0
-        for i, pos in enumerate(self._data_positions(data_bits, r)):
-            if (codeword >> pos) & 1:
-                data |= 1 << i
-        return DecodeResult(data=data, status=status)
-
-
-# ----------------------------------------------------------------------
-# Binary BCH over GF(2^m)
-# ----------------------------------------------------------------------
-_PRIMITIVE_POLY = {
-    3: 0b1011,
-    4: 0b10011,
-    5: 0b100101,
-    6: 0b1000011,
-    7: 0b10001001,
-    8: 0b100011101,
-    9: 0b1000010001,
-    10: 0b10000001001,
-}
-
-
-class _GF:
-    """GF(2^m) arithmetic via log/antilog tables."""
-
-    __slots__ = ("m", "n", "exp", "log")
-
-    def __init__(self, m: int) -> None:
-        self.m = m
-        self.n = (1 << m) - 1
-        self.exp = [0] * (2 * self.n)
-        self.log = [0] * (self.n + 1)
-        x = 1
-        for i in range(self.n):
-            self.exp[i] = x
-            self.log[x] = i
-            x <<= 1
-            if x & (1 << m):
-                x ^= _PRIMITIVE_POLY[m]
-        for i in range(self.n, 2 * self.n):
-            self.exp[i] = self.exp[i - self.n]
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
-
-    def inv(self, a: int) -> int:
-        return self.exp[self.n - self.log[a]]
-
-    def pow_alpha(self, e: int) -> int:
-        return self.exp[e % self.n]
-
-
-def _gf2_mod(value: int, divisor: int) -> int:
-    """Polynomial remainder over GF(2) (carry-less division)."""
-    dlen = divisor.bit_length()
-    while value.bit_length() >= dlen:
-        value ^= divisor << (value.bit_length() - dlen)
-    return value
-
-
-def _gf2_mul(a: int, b: int) -> int:
-    """Carry-less polynomial product over GF(2)."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a <<= 1
-        b >>= 1
-    return result
-
-
-@dataclass(frozen=True, slots=True)
-class _BCHTables:
-    """Per-data-width derived state of a BCH code."""
-
-    gf: _GF
-    generator: int  # GF(2) polynomial, bit i = coefficient of x^i
-    parity_bits: int  # deg(generator)
-
 
 class BCHCode(ECCCode):
     """Shortened binary BCH(t): corrects any ``t`` flips per word.
 
     The field GF(2^m) is sized per data width (smallest m with
-    ``2^m - 1 >= data_bits + m*t``); the generator polynomial is the
+    ``2^m - 1 >= data_bits + m*t``). The generator polynomial is the
     product of the minimal polynomials of alpha^1..alpha^2t, giving a
-    designed distance of ``2t + 1``. Decoding computes the 2t power-sum
-    syndromes, runs Berlekamp–Massey for the error locator, and a Chien
-    search over the shortened positions; decode failure (locator degree
-    above t, or root count mismatching the degree) reports DETECTED.
+    designed distance of ``2t + 1``; its degree, the check-bit count,
+    is the number of distinct exponents in their cyclotomic cosets.
     """
 
     def __init__(self, t: int = 2, name: str = "bch") -> None:
@@ -377,9 +204,7 @@ class BCHCode(ECCCode):
         )
         self.correct_t = t
         self.detect_d = t  # beyond t flips nothing is guaranteed
-        self._tables: dict[int, _BCHTables] = {}
 
-    # ------------------------------------------------------------------
     def _field_order(self, data_bits: int) -> int:
         for m in range(3, 11):
             if (1 << m) - 1 >= data_bits + m * self.t:
@@ -389,141 +214,18 @@ class BCHCode(ECCCode):
             "larger than GF(2^10); use a narrower word"
         )
 
-    def _build(self, data_bits: int) -> _BCHTables:
-        tables = self._tables.get(data_bits)
-        if tables is not None:
-            return tables
-        m = self._field_order(data_bits)
-        gf = _GF(m)
-        # Conjugacy classes of alpha^1 .. alpha^2t; one minimal
-        # polynomial (a GF(2) polynomial) per class.
-        seen: set[int] = set()
-        generator = 1
-        for power in range(1, 2 * self.t + 1):
-            e = power % gf.n
-            if e in seen:
-                continue
-            cls = []
-            cur = e
-            while cur not in cls:
-                cls.append(cur)
-                seen.add(cur)
-                cur = (cur * 2) % gf.n
-            # Minimal polynomial: product of (x + alpha^s) over the
-            # class, computed in GF(2^m)[x]; coefficients land in GF(2).
-            poly = [1]
-            for s in cls:
-                root = gf.pow_alpha(s)
-                nxt = [0] * (len(poly) + 1)
-                for i, c in enumerate(poly):
-                    nxt[i] ^= gf.mul(c, root)
-                    nxt[i + 1] ^= c
-                poly = nxt
-            minimal = 0
-            for i, c in enumerate(poly):
-                if c not in (0, 1):  # pragma: no cover - algebra guard
-                    raise ConfigError(
-                        "BCH minimal polynomial left GF(2); primitive "
-                        f"polynomial table is wrong for m={m}"
-                    )
-                if c:
-                    minimal |= 1 << i
-            generator = _gf2_mul(generator, minimal)
-        tables = _BCHTables(
-            gf=gf, generator=generator,
-            parity_bits=generator.bit_length() - 1,
-        )
-        self._tables[data_bits] = tables
-        return tables
-
-    # ------------------------------------------------------------------
     def check_bits(self, data_bits: int) -> int:
         self._check_width(data_bits)
-        return self._build(data_bits).parity_bits
-
-    def encode(self, data: int, data_bits: int) -> int:
-        self._check_width(data_bits)
-        tables = self._build(data_bits)
-        data &= (1 << data_bits) - 1
-        shifted = data << tables.parity_bits
-        return shifted | _gf2_mod(shifted, tables.generator)
-
-    def decode(self, codeword: int, data_bits: int) -> DecodeResult:
-        self._check_width(data_bits)
-        tables = self._build(data_bits)
-        gf = tables.gf
-        deg = tables.parity_bits
-        nbits = data_bits + deg
-        positions = [
-            p for p in range(nbits) if (codeword >> p) & 1
-        ]
-        two_t = 2 * self.t
-        syndromes = []
-        for j in range(1, two_t + 1):
-            s = 0
-            for p in positions:
-                s ^= gf.pow_alpha(j * p)
-            syndromes.append(s)
-        if not any(syndromes):
-            return DecodeResult(
-                data=codeword >> deg, status=ECCStatus.CLEAN
-            )
-        # Berlekamp–Massey: minimal LFSR generating the syndromes.
-        locator = [1] + [0] * two_t
-        prev = [1] + [0] * two_t
-        length = 0
-        shift = 1
-        prev_disc = 1
-        for step in range(two_t):
-            disc = syndromes[step]
-            for i in range(1, length + 1):
-                disc ^= gf.mul(locator[i], syndromes[step - i])
-            if disc == 0:
-                shift += 1
-                continue
-            coef = gf.mul(disc, gf.inv(prev_disc))
-            if 2 * length <= step:
-                saved = locator.copy()
-                for i in range(0, two_t + 1 - shift):
-                    locator[i + shift] ^= gf.mul(coef, prev[i])
-                length = step + 1 - length
-                prev = saved
-                prev_disc = disc
-                shift = 1
-            else:
-                for i in range(0, two_t + 1 - shift):
-                    locator[i + shift] ^= gf.mul(coef, prev[i])
-                shift += 1
-        if length > self.t:
-            return DecodeResult(
-                data=codeword >> deg, status=ECCStatus.DETECTED
-            )
-        # Chien search over the shortened positions: bit p is in error
-        # iff alpha^{-p} is a root of the locator.
-        errors = []
-        sigma = locator[: length + 1]
-        for p in range(nbits):
-            inv_exp = (gf.n - p % gf.n) % gf.n
-            value = 0
-            for i, c in enumerate(sigma):
-                if c:
-                    value ^= gf.mul(c, gf.pow_alpha(inv_exp * i))
-            if value == 0:
-                errors.append(p)
-        if len(errors) != length:
-            return DecodeResult(
-                data=codeword >> deg, status=ECCStatus.DETECTED
-            )
-        for p in errors:
-            codeword ^= 1 << p
-        return DecodeResult(
-            data=codeword >> deg, status=ECCStatus.CORRECTED
-        )
-
-
-def _parity(value: int) -> int:
-    """XOR of all bits of ``value``."""
-    return bin(value).count("1") & 1
+        # alpha^j's minimal polynomial has one root per exponent in the
+        # coset {j * 2^i mod (2^m - 1)}; the generator is their product.
+        n = (1 << self._field_order(data_bits)) - 1
+        exponents: set[int] = set()
+        for j in range(1, 2 * self.t + 1):
+            e = j % n
+            while e not in exponents:
+                exponents.add(e)
+                e = e * 2 % n
+        return len(exponents)
 
 
 # ----------------------------------------------------------------------
@@ -649,7 +351,7 @@ class FaultInjector:
 
 @dataclass
 class ReadPathECC:
-    """Per-channel inject→decode state carried by the DRAM channel.
+    """Per-channel inject→classify state carried by the DRAM channel.
 
     Attached by :meth:`repro.dram.channel.Channel.attach_read_path`;
     the channel calls :meth:`on_access` from inside ``issue_column`` —
@@ -908,7 +610,6 @@ def summarize_read_paths(
 
 __all__ = [
     "ECCStatus",
-    "DecodeResult",
     "ECCCode",
     "NoECC",
     "ParityCode",

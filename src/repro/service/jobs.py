@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 import os
+import sys
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -198,15 +198,19 @@ class Job:
             )
         scale = payload.get("scale", 1.0)
         # json.loads accepts NaN and +-Infinity, which a plain
-        # ``scale <= 0`` test lets through.
+        # ``scale <= 0`` test lets through, and integers too large for
+        # ``float(scale)``.
         if not isinstance(scale, (int, float)) or isinstance(scale, bool) \
-                or not 0 < scale < math.inf:
+                or not 0 < scale <= sys.float_info.max:
             raise ConfigError(
                 "job field 'scale' must be a positive finite number"
             )
         seed = payload.get("seed", 7)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("job field 'seed' must be an integer")
+        # numpy's default_rng refuses negative seeds on the worker.
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError(
+                "job field 'seed' must be a non-negative integer"
+            )
         priority = payload.get("priority", 0)
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise ConfigError("job field 'priority' must be an integer")

@@ -118,6 +118,9 @@ DEFAULT_JOURNAL = ".repro-service/journal.jsonl"
 #: Upper bound on request bodies (a SimSpec is a few KB; 8 MB is ample).
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Seconds an SSE watcher sleeps between polls of its job's event ring.
+SSE_POLL_SECONDS = 0.05
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -157,7 +160,6 @@ class ServiceDaemon:
         retry_backoff: float = 0.05,
         cell_timeout: Optional[float] = None,
         window_cycles: int = WINDOW_CYCLES,
-        sse_poll_seconds: float = 0.05,
         sse_ring_events: int = DEFAULT_RING_EVENTS,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 60.0,
@@ -180,7 +182,6 @@ class ServiceDaemon:
         self.retry_backoff = retry_backoff
         self.cell_timeout = cell_timeout
         self.window_cycles = window_cycles
-        self.sse_poll_seconds = sse_poll_seconds
         self.sse_ring_events = sse_ring_events
         self.shed_watermark = shed_watermark
         self.chaos = chaos
@@ -1112,4 +1113,4 @@ class ServiceDaemon:
             if job.terminal and ring.terminal_published \
                     and last_seen >= ring.last_id:
                 return
-            await asyncio.sleep(self.sse_poll_seconds)
+            await asyncio.sleep(SSE_POLL_SECONDS)

@@ -92,7 +92,6 @@ class WorkerTier:
         retry_backoff: float = 0.05,
         deadline: Optional[float] = None,
         chaos: Optional[FaultPlan] = None,
-        heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS,
         metrics=NULL_HUB,
     ) -> None:
         if size < 1:
@@ -102,7 +101,6 @@ class WorkerTier:
         self.retry_backoff = retry_backoff
         self.deadline = deadline
         self.chaos = chaos
-        self.heartbeat_seconds = heartbeat_seconds
         self.metrics = metrics
         self.pool = WarmPool(size, on_rebuild=self._on_rebuild)
         #: Tier-wide dispatch ordinal: jobs in first-dispatch order.
@@ -149,10 +147,10 @@ class WorkerTier:
 
     # ------------------------------------------------------------------
     async def _heartbeat_loop(self) -> None:
-        stale_after = self.heartbeat_seconds * STALE_HEARTBEATS
+        stale_after = DEFAULT_HEARTBEAT_SECONDS * STALE_HEARTBEATS
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.heartbeat_seconds)
+            await asyncio.sleep(DEFAULT_HEARTBEAT_SECONDS)
             try:
                 self.pool.ping()
                 respawned = await loop.run_in_executor(

@@ -200,6 +200,8 @@ def test_malformed_spec_is_400_naming_the_key_path(tmp_path):
     ("scale", float("-inf")),
     ("spec", []), ("spec", [1]), ("spec", 0), ("spec", False),
     ("spec", ""),
+    pytest.param("scale", 10 ** 400, id="scale-400-digit-int"),
+    ("seed", -1),
 ])
 def test_malformed_job_field_is_rejected_naming_it(field, value):
     with pytest.raises(ConfigError, match=f"job field '{field}'"):
@@ -221,6 +223,12 @@ def test_nonfinite_scale_and_non_object_spec_are_400(tmp_path):
             client.submit("SCP", scale=float("nan"))
         with pytest.raises(ConfigError, match="job field 'spec'"):
             client.submit("SCP", spec=[])
+        # Too large for float(): once a 500 from the handler.
+        with pytest.raises(ConfigError, match="job field 'scale'"):
+            client.submit("SCP", scale=10 ** 400)
+        # Once admitted, then FAILED on the tier by numpy's seeding.
+        with pytest.raises(ConfigError, match="job field 'seed'"):
+            client.submit("SCP", seed=-1)
         assert len(daemon.queue) == 0
     finally:
         daemon.stop(drain=False)
