@@ -15,6 +15,11 @@ The decode pipeline for a 128-byte request address is::
     bank    = row_blk % banks_per_channel
     row     = row_blk // banks_per_channel
     column  = (local % row_size_bytes) // access_bytes
+
+:meth:`AddressMapping.decode_fields` is the one copy of this pipeline.
+It decodes a single address, or an int64 numpy array of them in one
+call (trace generation decodes an array's whole line range at once);
+:meth:`AddressMapping.decode` wraps it for one request.
 """
 
 from __future__ import annotations
@@ -59,8 +64,14 @@ class AddressMapping:
 
     def validate(self) -> None:
         """Check consistency; raise :class:`ConfigError` on violation."""
-        if self.num_channels <= 0:
-            raise ConfigError("num_channels must be positive")
+        if min(
+            self.num_channels, self.banks_per_channel,
+            self.bank_groups_per_channel, self.interleave_bytes,
+            self.row_size_bytes, self.access_bytes,
+        ) <= 0:
+            raise ConfigError(
+                "num_channels, bank counts and byte sizes must be positive"
+            )
         if self.scheme not in {"bank_interleaved", "permuted"}:
             raise ConfigError(f"unknown mapping scheme: {self.scheme!r}")
         if self.scheme == "permuted" and (
@@ -95,7 +106,7 @@ class AddressMapping:
         """Bank group index of ``bank`` (consecutive banks share a group)."""
         return bank // self.banks_per_group
 
-    def _permute(self, bank_raw: int, row: int) -> int:
+    def _permute(self, bank_raw, row):
         if self.scheme == "permuted":
             return bank_raw ^ (row & (self.banks_per_channel - 1))
         return bank_raw
@@ -107,8 +118,13 @@ class AddressMapping:
         are not needed."""
         return (addr // self.interleave_bytes) % self.num_channels
 
-    def decode(self, addr: int) -> DecodedAddress:
-        """Decode a byte address into (channel, bank, bank group, row, column)."""
+    def decode_fields(self, addr):
+        """``(channel, bank, row, column)`` of ``addr``: a Python int, or
+        an int64 numpy array decoded element-wise in one call.
+
+        This is the one copy of the decode arithmetic; ``divmod``,
+        ``%``, ``//``, ``^`` and ``&`` behave the same on both types.
+        """
         chunk, offset = divmod(addr, self.interleave_bytes)
         channel = chunk % self.num_channels
         local = (chunk // self.num_channels) * self.interleave_bytes + offset
@@ -116,12 +132,17 @@ class AddressMapping:
         bank_raw = row_blk % self.banks_per_channel
         row = row_blk // self.banks_per_channel
         bank = self._permute(bank_raw, row)
+        return channel, bank, row, in_row // self.access_bytes
+
+    def decode(self, addr: int) -> DecodedAddress:
+        """Decode a byte address into (channel, bank, bank group, row, column)."""
+        channel, bank, row, column = self.decode_fields(addr)
         return DecodedAddress(
             channel=channel,
             bank=bank,
             bank_group=self.bank_group_of(bank),
             row=row,
-            column=in_row // self.access_bytes,
+            column=column,
         )
 
     def encode(self, decoded: DecodedAddress) -> int:

@@ -70,9 +70,25 @@ def _at(path: str) -> str:
     return f" at {path!r}" if path else ""
 
 
-def _decode_value(hint: Any, data: Any, path: str = "") -> Any:
+def _admits_none(hint: Any) -> bool:
+    """Whether a field typed ``hint`` may hold ``None``: ``Any``,
+    ``Optional[X]`` or ``X | None``."""
+    return hint is Any or type(None) in typing.get_args(hint)
+
+
+def _wrong_type(hint: Any, data: Any, path: str) -> ConfigError:
+    got = "null" if data is None else f"{type(data).__name__} ({data!r})"
+    expected = getattr(hint, "__name__", str(hint))
+    return ConfigError(f"wrong type{_at(path)}: expected {expected}, got {got}")
+
+
+def decode_value(hint: Any, data: Any, path: str = "") -> Any:
+    """Decode one value of a field typed ``hint``, naming ``path`` in
+    any :class:`ConfigError`."""
     if data is None:
-        return None
+        if _admits_none(hint):
+            return None
+        raise _wrong_type(hint, data, path)
     hint = _strip_optional(hint)
     if isinstance(hint, type):
         if dataclasses.is_dataclass(hint):
@@ -86,19 +102,25 @@ def _decode_value(hint: Any, data: Any, path: str = "") -> Any:
                     f"invalid {hint.__name__}{_at(path)}: {data!r} "
                     f"(valid: {valid})"
                 ) from None
+        if hint in (int, float) and isinstance(data, bool):
+            raise _wrong_type(hint, data, path)
         if hint is float and isinstance(data, int):
-            return float(data)
+            try:
+                return float(data)
+            except OverflowError:
+                raise ConfigError(
+                    f"number out of range{_at(path)}: {data!r}"
+                ) from None
         if hint in (int, float, str, bool) and not isinstance(data, hint):
-            raise ConfigError(
-                f"wrong type{_at(path)}: expected {hint.__name__}, "
-                f"got {type(data).__name__} ({data!r})"
-            )
+            raise _wrong_type(hint, data, path)
     origin = typing.get_origin(hint)
-    if origin in (list, tuple) and isinstance(data, list):
+    if origin in (list, tuple):
+        if not isinstance(data, list):
+            raise _wrong_type(list, data, path)
         args = typing.get_args(hint)
         item_hint = args[0] if args else Any
         items = [
-            _decode_value(item_hint, item, f"{path}[{i}]")
+            decode_value(item_hint, item, f"{path}[{i}]")
             for i, item in enumerate(data)
         ]
         return tuple(items) if origin is tuple else items
@@ -111,8 +133,10 @@ def decode(cls: type[T], data: Any, *, path: str = "") -> T:
     Unknown keys in ``data`` are rejected (they signal a payload from a
     newer schema — silently dropping them would decode to a *different*
     configuration than the one stored); missing keys fall back to the
-    dataclass defaults. Every :class:`ConfigError` raised below names
-    the full dotted key path of the offending value (``path`` seeds the
+    dataclass defaults, and a missing field without one is named.
+    ``None`` decodes only into an ``Optional`` or ``Any`` field. Every
+    :class:`ConfigError` raised below names the full dotted key path of
+    the offending value (``path`` seeds the
     prefix — e.g. ``"scheduler"`` when decoding the scheduler subtree of
     a :class:`~repro.sim.spec.SimSpec` wire payload), so a client
     submitting a malformed nested payload is told *which* key to fix,
@@ -133,8 +157,19 @@ def decode(cls: type[T], data: Any, *, path: str = "") -> T:
             f"unknown {cls.__name__} field(s) in payload: "
             + ", ".join(_join(path, k) for k in sorted(unknown))
         )
+    missing = [
+        f.name for f in dataclasses.fields(cls)
+        if f.name not in data
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigError(
+            f"missing {cls.__name__} field(s) in payload: "
+            + ", ".join(_join(path, k) for k in missing)
+        )
     kwargs = {
-        name: _decode_value(hints.get(name, Any), value, _join(path, name))
+        name: decode_value(hints.get(name, Any), value, _join(path, name))
         for name, value in data.items()
     }
     return cls(**kwargs)

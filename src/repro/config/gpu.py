@@ -28,6 +28,8 @@ class L2Config:
 
     def validate(self) -> None:
         """Check geometry; raise :class:`ConfigError` on violation."""
+        if min(self.size_bytes, self.line_bytes, self.associativity) <= 0:
+            raise ConfigError("L2 size, line size and ways must be positive")
         if self.size_bytes % (self.line_bytes * self.associativity):
             raise ConfigError("L2 size must be a whole number of sets")
         if self.num_sets & (self.num_sets - 1):

@@ -80,10 +80,11 @@ def _encode_item(item: WorkItem) -> dict:
     }
 
 
-def _run_payload(payload: dict) -> tuple[str, dict, float]:
+def _run_payload(payload: dict, workloads: dict) -> tuple[str, dict, float]:
     """Decode and simulate one cell; returns (key, report dict, secs).
 
-    Runs inside a worker process. Chaos faults fire inside
+    Runs inside a worker process, with ``workloads`` the one-entry
+    workload memo of the batch. Chaos faults fire inside
     ``_simulate_cell`` with ``in_worker=True``, so an injected ``exit``
     genuinely kills this process.
     """
@@ -99,6 +100,7 @@ def _run_payload(payload: dict) -> tuple[str, dict, float]:
     )
     report, elapsed = runner_mod._simulate_cell(
         spec,
+        workloads=workloads,
         faults=faults,
         cell_index=payload["index"],
         attempt=payload["attempt"],
@@ -139,9 +141,12 @@ def _worker_main(conn) -> None:
             except (OSError, ValueError):
                 return
             continue
+        # One batch message shares a workload memo; an idle worker
+        # keeps no workload alive.
+        workloads: dict = {}
         for task_id, payload in msg:
             try:
-                key, report_dict, elapsed = _run_payload(payload)
+                key, report_dict, elapsed = _run_payload(payload, workloads)
             except Exception as exc:
                 tb = traceback.format_exc()
                 try:
@@ -155,6 +160,7 @@ def _worker_main(conn) -> None:
                     ))
             else:
                 conn.send(("ok", task_id, key, report_dict, elapsed))
+        workloads.clear()
 
 
 class _ProcessWorker:

@@ -6,7 +6,10 @@ Three layers keep repeated figure reproductions cheap:
 1. **In-process memoization** — results are keyed by the *content* of the
    cell (workload, scale, seed, full scheduler + GPU config,
    measure_error), so two experiments that request the same baseline
-   under different labels share one simulation.
+   under different labels share one simulation. Within one serial call
+   (or one worker batch) consecutive cells of one app also share one
+   workload: its trace is built once and its exact output computed once
+   (see :func:`_simulate_cell`).
 2. **Persistent disk cache** (:mod:`repro.harness.cache`) — the same
    content key addresses a JSON blob under ``.repro-cache/``; a warm
    cache replays a whole matrix with zero simulations, across processes
@@ -159,17 +162,26 @@ class CellSpec:
 def _simulate_cell(
     cell: CellSpec,
     *,
+    workloads: dict,
     faults: Optional[FaultPlan] = None,
     cell_index: Optional[int] = None,
     attempt: int = 1,
     in_worker: bool = False,
 ) -> tuple[SimReport, float]:
-    """Simulate one cell from scratch; returns (report, elapsed seconds).
+    """Simulate one cell; returns (report, elapsed seconds).
 
     Runs identically in the parent process and in pool workers: the
     global request-id counter is re-seeded so request/drop ids — and
     therefore the full report — depend only on the cell itself, not on
     what simulated before it in the same process.
+
+    ``workloads`` is a one-entry memo owned by the caller (one
+    :meth:`Runner._run_serial` call, or one batch message in a pool
+    worker): consecutive cells of one (app, scale, seed, tenants) share
+    one workload, and with it one trace and one ``run_exact`` output.
+    The previous entry is dropped before a new one is built. No run
+    changes a workload: the simulator only iterates the trace, and the
+    replay perturbs copies of the arrays.
 
     When a :class:`FaultPlan` is threaded through (chaos testing), its
     crash/exit/hang faults fire here — before any simulation state is
@@ -179,9 +191,12 @@ def _simulate_cell(
     if faults is not None and cell_index is not None:
         faults.fire_pre_simulation(cell_index, attempt, in_worker=in_worker)
     reset_request_ids()
-    workload = cell.workload()
+    key = (cell.app, cell.scale, cell.seed, cell.spec.tenants)
+    if key not in workloads:
+        workloads.clear()
+        workloads[key] = cell.workload()
     start = time.perf_counter()
-    report = simulate_spec(workload, cell.spec)
+    report = simulate_spec(workloads[key], cell.spec)
     return report, time.perf_counter() - start
 
 
@@ -377,7 +392,7 @@ class Runner:
 
     # ------------------------------------------------------------------
     def _simulate_inline(
-        self, task: _CellTask
+        self, task: _CellTask, workloads: dict
     ) -> tuple[SimReport, float]:
         """In-process simulation of the task's next attempt, optionally
         under the profiler."""
@@ -386,8 +401,8 @@ class Runner:
             profiler.enable()
         try:
             return _simulate_cell(
-                task.cell, faults=self.faults, cell_index=task.index,
-                attempt=task.attempts + 1,
+                task.cell, workloads=workloads, faults=self.faults,
+                cell_index=task.index, attempt=task.attempts + 1,
             )
         finally:
             if profiler is not None:
@@ -470,7 +485,7 @@ class Runner:
         )
         start = time.perf_counter()
         report = system.run(
-            workload.warp_streams(system.config),
+            workload.trace(system.config),
             workload_name=workload.name,
             stream_tenants=getattr(workload, "stream_tenants", None),
         )
@@ -499,8 +514,8 @@ class Runner:
         With ``jobs > 1`` the deduplicated cells run concurrently in a
         process pool; results are identical to a serial run — including
         after retries, timeouts, and pool rebuilds, because every
-        attempt re-seeds the request-id counter and simulates from
-        scratch.
+        attempt re-seeds the request-id counter and builds a fresh
+        system, and no run changes the workload it shares.
 
         A cell that fails all ``1 + retries`` attempts is quarantined
         for the rest of the runner's life: a later request for it (say,
@@ -613,13 +628,17 @@ class Runner:
         return True
 
     def _run_serial(self, tasks: list[_CellTask]) -> list[CellFailure]:
-        """In-process execution with retries (no preemption, no timeout)."""
+        """In-process execution with retries (no preemption, no timeout).
+
+        The tasks arrive app by app, so the workload memo of this call
+        serves each app's schemes from one workload."""
         failures: list[CellFailure] = []
+        workloads: dict = {}
         for task in tasks:
             while True:
                 start = time.perf_counter()
                 try:
-                    report, elapsed = self._simulate_inline(task)
+                    report, elapsed = self._simulate_inline(task, workloads)
                 except Exception as exc:
                     wasted = time.perf_counter() - start
                     if not self._charge_attempt(

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.config.codec import decode, decode_optional, encode
+from repro.config.codec import decode, decode_optional, decode_value, encode
 from repro.config.faults import FaultConfig
 from repro.config.gpu import GPUConfig
 from repro.config.scheduler import SchedulerConfig
@@ -121,7 +121,13 @@ class SimSpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SimSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        A missing key takes its default, as does a ``null`` scheduler or
+        faults section. Every other value must have its field's type:
+        ``"false"`` is not a flag, and only ``device``, ``config`` and
+        ``tenants`` may be ``null``.
+        """
         if not isinstance(data, dict):
             raise ConfigError(
                 f"SimSpec payload must be a dict, got {type(data).__name__}"
@@ -141,14 +147,21 @@ class SimSpec:
         )
         return cls(
             scheduler=scheduler if scheduler is not None else SchedulerConfig(),
-            device=data.get("device"),
+            device=decode_value(Optional[str], data.get("device"), "device"),
             config=decode_optional(
                 GPUConfig, data.get("config"), path="config"
             ),
-            measure_error=bool(data.get("measure_error", False)),
-            record_activations=bool(data.get("record_activations", True)),
-            telemetry=bool(data.get("telemetry", False)),
-            ecc=str(data.get("ecc", "none")),
+            measure_error=decode_value(
+                bool, data.get("measure_error", False), "measure_error"
+            ),
+            record_activations=decode_value(
+                bool, data.get("record_activations", True),
+                "record_activations",
+            ),
+            telemetry=decode_value(
+                bool, data.get("telemetry", False), "telemetry"
+            ),
+            ecc=decode_value(str, data.get("ecc", "none"), "ecc"),
             faults=(
                 decode(FaultConfig, data["faults"], path="faults")
                 if data.get("faults") is not None

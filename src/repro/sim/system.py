@@ -451,7 +451,7 @@ def simulate_spec(
             workload = TenantMix(
                 spec.tenants, scale=workload.scale, seed=workload.seed
             )
-    streams = workload.warp_streams(system.config)
+    streams = workload.trace(system.config)
     report = system.run(
         streams,
         workload_name=workload.name,

@@ -7,7 +7,9 @@ providing
   workload instance is fully deterministic) and register them in the
   :class:`~repro.workloads.layout.AddressSpace`, marking the
   programmer-annotated approximable arrays (paper Listing 1);
-* ``warp_streams()`` — the per-warp memory trace over those arrays;
+* ``warp_streams()`` — the per-warp memory trace over those arrays,
+  which callers read through ``trace()`` (built once per address
+  mapping and shared by every run of the instance);
 * ``run_kernel()`` — the real computation, used both for the reference
   output and for the approximation replay (dropped lines' values replaced
   by the VP's donor lines).
@@ -20,6 +22,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
+from repro.config.address import AddressMapping
 from repro.config.gpu import GPUConfig
 from repro.errors import WorkloadError
 from repro.gpu.warp import WarpOp
@@ -57,6 +60,7 @@ class Workload(abc.ABC):
         self.space = AddressSpace()
         self.arrays: dict[str, np.ndarray] = {}
         self._exact: Optional[np.ndarray] = None
+        self._traces: dict[AddressMapping, list[list[WarpOp]]] = {}
         self._build()
         if not self.arrays:
             raise WorkloadError(f"{self.name}: _build registered no arrays")
@@ -121,6 +125,18 @@ class Workload(abc.ABC):
     def run_kernel(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
         """Execute the computation on the given array values."""
 
+    def trace(self, config: GPUConfig) -> list[list[WarpOp]]:
+        """The trace for ``config``: :meth:`warp_streams`, built once per
+        ``config.mapping`` (the only field a trace builder reads).
+
+        Every run of this instance shares the lists; the simulator only
+        iterates them, and ops and accesses are frozen.
+        """
+        streams = self._traces.get(config.mapping)
+        if streams is None:
+            streams = self._traces[config.mapping] = self.warp_streams(config)
+        return streams
+
     # ------------------------------------------------------------------
     # Output-quality pipeline
     # ------------------------------------------------------------------
@@ -148,7 +164,7 @@ class Workload(abc.ABC):
     # ------------------------------------------------------------------
     def trace_footprint(self, config: GPUConfig) -> dict[str, int]:
         """Static summary of the trace (diagnostics): ops, accesses."""
-        streams = self.warp_streams(config)
+        streams = self.trace(config)
         ops = sum(len(s) for s in streams)
         accesses = sum(len(op.accesses) for s in streams for op in s)
         reads = sum(

@@ -63,7 +63,7 @@ class TenantMix(Workload):
         #: Per-tenant byte offset into the shared address space.
         self._offsets: list[int] = []
         #: ``tenant_id`` per merged warp stream; ``None`` until
-        #: :meth:`warp_streams` runs, and stays ``None`` for a
+        #: :meth:`trace` first builds the streams, and stays ``None`` for a
         #: single-tenant mix (nothing tenant-specific attaches).
         self.stream_tenants: Optional[list[int]] = None
         self._out_lengths: Optional[list[int]] = None
@@ -110,7 +110,7 @@ class TenantMix(Workload):
 
     # ------------------------------------------------------------------
     def warp_streams(self, config: GPUConfig) -> list[list[WarpOp]]:
-        member_streams = [m.warp_streams(config) for m in self._members]
+        member_streams = [m.trace(config) for m in self._members]
         if not self.mix.multi:
             self.stream_tenants = None
             return member_streams[0]

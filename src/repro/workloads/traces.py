@@ -44,14 +44,24 @@ def dram_row_groups(
     Groups are ordered by first appearance in the address walk and lines
     are ascending within a group, so ``groups[i]`` is one DRAM row's worth
     (up to 16 lines) of this array.
+
+    The whole line range is decoded in one numpy call and grouped by a
+    stable sort on each line's group rank; the lists hold Python ints.
     """
     spec = space.spec(name)
     first_line = spec.base - spec.base % space.line_bytes
-    grouped: dict[tuple[int, int, int], list[int]] = {}
-    for addr in range(first_line, spec.end, space.line_bytes):
-        d = mapping.decode(addr)
-        grouped.setdefault((d.channel, d.bank, d.row), []).append(addr)
-    return list(grouped.values())
+    lines = np.arange(first_line, spec.end, space.line_bytes, dtype=np.int64)
+    channel, bank, row, _ = mapping.decode_fields(lines)
+    # One int64 per (channel, bank, row); bounded by the line address.
+    key = (row * mapping.banks_per_channel + bank) * mapping.num_channels \
+        + channel
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first, kind="stable")] = np.arange(first.size)
+    line_rank = rank[inverse.reshape(-1)]
+    ordered = lines[np.argsort(line_rank, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(line_rank, minlength=first.size)).tolist()
+    return [ordered[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def row_visit_streams(

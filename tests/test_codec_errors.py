@@ -12,6 +12,7 @@ import pytest
 
 from repro.config.codec import decode
 from repro.config.scheduler import DMSConfig, SchedulerConfig
+from repro.config.tenants import TenantMixSpec, TenantSpec
 from repro.errors import ConfigError
 from repro.harness.schemes import scheme_def
 from repro.sim.spec import SimSpec
@@ -79,3 +80,34 @@ def test_error_free_decode_still_round_trips():
     assert isinstance(widened.bwutil_threshold, float)
     # int -> float widening stays allowed (JSON has no float literal
     # for whole numbers).
+
+
+# ----------------------------------------------------------------------
+# Null, missing and non-list values.
+
+
+def test_null_for_a_required_field_names_the_path():
+    with pytest.raises(ConfigError, match=r"dms\.window_cycles.*got null"):
+        decode(SchedulerConfig, {"dms": {"window_cycles": None}})
+
+
+def test_null_passes_through_an_optional_field():
+    assert decode(TenantSpec, {"name": "a", "workload": "SCP",
+                               "seed": None}).seed is None
+
+
+def test_missing_field_without_default_names_the_path():
+    with pytest.raises(ConfigError, match=r"tenants\[0\]\.workload"):
+        decode(TenantMixSpec, {"tenants": [{"name": "a"}]})
+
+
+def test_non_list_for_a_tuple_field_names_the_path():
+    with pytest.raises(ConfigError, match=r"'tenants'.*expected list"):
+        decode(TenantMixSpec, {"tenants": "a"})
+
+
+def test_simspec_flags_are_type_checked_not_coerced():
+    with pytest.raises(ConfigError, match="measure_error"):
+        SimSpec.from_dict({"measure_error": "false"})
+    with pytest.raises(ConfigError, match="device"):
+        SimSpec.from_dict({"device": ["gddr5"]})

@@ -21,11 +21,17 @@ The invariants pinned down here, against a real in-process daemon
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import json
+import re
 import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config.gpu import GPUConfig
+from repro.config.tenants import TenantMixSpec, TenantSpec
 from repro.errors import ConfigError, ServiceBusyError, ServiceError
 from repro.harness.cache import ResultCache
 from repro.harness.schemes import scheme_def
@@ -229,6 +235,127 @@ def test_nonfinite_scale_and_non_object_spec_are_400(tmp_path):
         # Once admitted, then FAILED on the tier by numpy's seeding.
         with pytest.raises(ConfigError, match="job field 'seed'"):
             client.submit("SCP", seed=-1)
+        assert len(daemon.queue) == 0
+    finally:
+        daemon.stop(drain=False)
+
+
+def _key_paths(node, path=()):
+    """Every key path of a JSON tree: dict keys and list indices."""
+    items = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, value in items:
+        yield path + (key,)
+        yield from _key_paths(value, path + (key,))
+
+
+def _replaced(spec: dict, path: tuple, value) -> dict:
+    spec = copy.deepcopy(spec)
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return spec
+
+
+#: Top-level spec keys where ``null`` means the default.
+NULLABLE = {("scheduler",), ("faults",), ("device",), ("config",),
+            ("tenants",)}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in _key_paths(SimSpec().to_dict()) if p not in NULLABLE],
+    ids=".".join,
+)
+def test_null_spec_value_is_rejected_naming_its_path(path):
+    spec = _replaced(SimSpec().to_dict(), path, None)
+    with pytest.raises(ConfigError, match=re.escape(".".join(path))):
+        Job.from_request({"app": "SCP", "spec": spec})
+
+
+#: Malformed nested spec fields, each with the key path its error names.
+MALFORMED_SPECS = [
+    ({"scheduler": {"dms": None}}, "scheduler.dms"),
+    ({"scheduler": {"ams": {"static_th_rbl": None}}},
+     "scheduler.ams.static_th_rbl"),
+    ({"scheduler": {"hit_streak_cap": None}}, "scheduler.hit_streak_cap"),
+    ({"faults": {"p_bit": None}}, "faults.p_bit"),
+    ({"device": ["gddr5"]}, "device"),
+    ({"device": {"name": "gddr5"}}, "device"),
+    ({"tenants": "SCP"}, "tenants"),
+    ({"tenants": {"tenants": "SCP"}}, "tenants.tenants"),
+    ({"tenants": {"tenants": [{"workload": "SCP"}]}},
+     "tenants.tenants[0].name"),
+    ({"tenants": {"tenants": [{"name": "a"}]}},
+     "tenants.tenants[0].workload"),
+    ({"scheduler": {"dms": {"mode": "dynamic", "windows_per_phase": None}}},
+     "scheduler.dms.windows_per_phase"),
+    ({"measure_error": "false"}, "measure_error"),
+    ({"telemetry": 1}, "telemetry"),
+    ({"ecc": 3}, "ecc"),
+    ({"config": {"l2": {"associativity": False}}},
+     "config.l2.associativity"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, path", MALFORMED_SPECS, ids=[p for _, p in MALFORMED_SPECS]
+)
+def test_malformed_spec_field_is_rejected_naming_its_path(spec, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        Job.from_request({"app": "SCP", "spec": spec})
+
+
+def test_zero_cache_or_mapping_geometry_is_rejected():
+    for config in ({"l2": {"associativity": 0}},
+                   {"mapping": {"access_bytes": 0}}):
+        with pytest.raises(ConfigError, match="must be positive"):
+            Job.from_request({"app": "SCP", "spec": {"config": config}})
+
+
+#: The default spec with every optional section present, so that every
+#: nested key path exists to be replaced.
+FULL_SPEC = SimSpec(
+    config=GPUConfig(),
+    tenants=TenantMixSpec(tenants=(
+        TenantSpec(name="a", workload="SCP"),
+        TenantSpec(name="b", workload="MVT", seed=3),
+    )),
+).to_dict()
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(path=st.sampled_from(list(_key_paths(FULL_SPEC))), value=json_values)
+@settings(max_examples=300, deadline=None)
+def test_any_one_replaced_spec_value_is_a_job_or_a_config_error(
+    path, value
+):
+    try:
+        Job.from_request(
+            {"app": "SCP", "spec": _replaced(FULL_SPEC, path, value)}
+        )
+    except ConfigError:
+        pass
+
+
+def test_malformed_spec_fields_are_400_over_http(tmp_path):
+    daemon = _daemon(tmp_path, workers=0)
+    daemon.start_in_thread()
+    try:
+        client = ServiceClient(port=daemon.port)
+        for spec, path in MALFORMED_SPECS:
+            with pytest.raises(ConfigError, match=re.escape(path)):
+                client.submit("SCP", spec=spec)
         assert len(daemon.queue) == 0
     finally:
         daemon.stop(drain=False)
