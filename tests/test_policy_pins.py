@@ -10,6 +10,10 @@ from the FR-FCFS (``shared-frfcfs`` for the arbiters) run of the same
 cell, and each test asserts both the field identity and that
 difference, so a pin cannot silently stop covering its policy.
 
+No fixture runs ``row_policy="close"``, so two close-row cells are
+pinned inline by report digest; each test also asserts that the cell's
+open-row report differs.
+
 The fixture must never be regenerated to make these tests pass. To
 record it at a commit whose simulator behaviour is trusted::
 
@@ -18,6 +22,7 @@ record it at a commit whose simulator behaviour is trusted::
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -125,6 +130,59 @@ def test_policy_reproduces_pinned_payload(pin, golden) -> None:
     assert simulate(pin, CELLS[pin]) == pinned
     baseline = simulate(pin, reference(CELLS[pin]))
     assert baseline["channel_stats"] != pinned["channel_stats"]
+
+
+def with_row_policy(cell: dict, row_policy: str) -> dict:
+    spec = cell["spec"]
+    scheduler = replace(spec.scheduler, row_policy=row_policy)
+    return {**cell, "spec": replace(spec, scheduler=scheduler)}
+
+
+#: Close-row pins. No golden above runs ``row_policy="close"``, so each
+#: pin holds the sha256 of the report's sorted-key ``to_dict()`` JSON
+#: and its per-channel activations, for the seed fixture cell
+#: (``tests/golden/seed_reports.json``) under FR-FCFS and the 3-tenant
+#: cell above under ``shared-frfcfs``. ``fcfs`` and ``frfcfs-cap`` give
+#: the seed cell's FR-FCFS report under close-row at small scales, so
+#: pins of theirs would add no coverage.
+CLOSE_ROW_CELLS = {
+    "synthetic-frfcfs": {
+        "app": "synthetic", "scale": 0.25, "seed": 11,
+        "spec": SimSpec(scheduler=SchedulerConfig(row_policy="close")),
+    },
+    "shared-frfcfs": with_row_policy(
+        _arbiter_cell("shared-frfcfs"), "close"
+    ),
+}
+CLOSE_ROW_PINS = {
+    "synthetic-frfcfs": {
+        "sha256": "a48d49da18336c1cef939c694beaa429"
+                  "c638f6f6a07f9b6e0b4d402bf958de82",
+        "activations": [60, 59, 59, 59, 59, 59],
+    },
+    "shared-frfcfs": {
+        "sha256": "6c0e9309a3f6a653b6f3057615e68d90"
+                  "7e91c8bc8da40c273be03d2e992d8379",
+        "activations": [134, 140, 121, 126, 118, 121],
+    },
+}
+
+
+def close_row_pin(payload: dict) -> dict:
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return {
+        "sha256": hashlib.sha256(blob).hexdigest(),
+        "activations": [c["activations"] for c in payload["channel_stats"]],
+    }
+
+
+@pytest.mark.parametrize("pin", sorted(CLOSE_ROW_CELLS))
+def test_close_row_reproduces_pinned_digest(pin) -> None:
+    cell = CLOSE_ROW_CELLS[pin]
+    pinned = CLOSE_ROW_PINS[pin]
+    assert close_row_pin(simulate(pin, cell)) == pinned
+    open_row = with_row_policy(cell, "open")
+    assert close_row_pin(simulate(pin, open_row)) != pinned
 
 
 if __name__ == "__main__":
