@@ -7,16 +7,19 @@ Importing this package registers the built-in policies:
 * multi-tenant arbiters — ``shared-frfcfs``, ``tenant-priority``,
   ``batch-fair``.
 
-The activation gate and the drop stage have one implementation each,
-the paper's DMS and AMS units, which the memory controller builds
-itself. See :mod:`repro.sched.policies.base` for the selector contract
-and the registration functions.
+All six run one candidate fold,
+:meth:`~repro.sched.policies.base.CandidateSelector.select`, and differ
+only in data it reads: which banks must offer their oldest request, and
+the per-tenant rank and gate arrays. The activation gate and the drop
+stage have one implementation each, the paper's DMS and AMS units,
+which the memory controller builds itself. See
+:mod:`repro.sched.policies.base` for the fold, the candidate key and
+the registration functions.
 """
 
 from repro.sched.policies.arbiters import (
     BatchFairArbiter,
     SharedFRFCFSArbiter,
-    TenantArbiter,
     TenantPriorityArbiter,
 )
 from repro.sched.policies.base import (
@@ -47,7 +50,6 @@ __all__ = [
     "FRFCFSSelector",
     "SWITCH_PRIORITY",
     "SharedFRFCFSArbiter",
-    "TenantArbiter",
     "TenantPriorityArbiter",
     "arbiter_names",
     "make_arbiter",
