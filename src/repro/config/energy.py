@@ -21,6 +21,7 @@ ratios matter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -43,10 +44,18 @@ class DRAMEnergyParams:
 
     def validate(self) -> None:
         """Check ranges; raise :class:`ConfigError` on violation."""
-        if self.e_act_nj <= 0 or self.e_rd_nj <= 0 or self.e_wr_nj <= 0:
-            raise ConfigError("per-operation energies must be positive")
-        if self.background_mw < 0:
-            raise ConfigError("background power must be non-negative")
+        # NaN and +-Infinity fail these comparisons.
+        if not all(
+            0 < e < math.inf
+            for e in (self.e_act_nj, self.e_rd_nj, self.e_wr_nj)
+        ):
+            raise ConfigError(
+                "per-operation energies must be positive and finite"
+            )
+        if not 0 <= self.e_ref_nj < math.inf:
+            raise ConfigError("refresh energy must be finite and >= 0")
+        if not 0 <= self.background_mw < math.inf:
+            raise ConfigError("background power must be finite and >= 0")
         if not 0.0 < self.baseline_row_energy_fraction < 1.0:
             raise ConfigError(
                 "baseline_row_energy_fraction must be in (0, 1), got "

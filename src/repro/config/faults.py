@@ -60,13 +60,14 @@ class FaultConfig:
             raise ConfigError(
                 f"faults.p_bit must be in [0, 1], got {self.p_bit}"
             )
-        if self.scale < 0.0:
+        # NaN and +-Infinity fail these comparisons.
+        if not 0.0 <= self.scale < math.inf:
             raise ConfigError(
-                f"faults.scale must be >= 0, got {self.scale}"
+                f"faults.scale must be finite and >= 0, got {self.scale}"
             )
-        if self.sensitivity < 0.0:
+        if not 0.0 <= self.sensitivity < math.inf:
             raise ConfigError(
-                "faults.sensitivity must be >= 0, got "
+                "faults.sensitivity must be finite and >= 0, got "
                 f"{self.sensitivity}"
             )
         if self.nominal_trcd <= 0 or self.nominal_trp <= 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.config.address import AddressMapping
@@ -83,8 +84,14 @@ class GPUConfig:
         """Validate the whole configuration tree."""
         if self.num_sms <= 0 or self.max_warps_per_sm <= 0:
             raise ConfigError("SM and warp counts must be positive")
-        if self.core_clock_mhz <= 0 or self.mem_clock_mhz <= 0:
-            raise ConfigError("clock frequencies must be positive")
+        for key in ("core_clock_mhz", "mem_clock_mhz"):
+            clock = getattr(self, key)
+            # NaN and +-Infinity fail this comparison.
+            if not 0 < clock < math.inf:
+                raise ConfigError(
+                    f"config.{key} must be positive and finite, "
+                    f"got {clock}"
+                )
         if self.pending_queue_size <= 0:
             raise ConfigError("pending queue size must be positive")
         if self.max_outstanding_ops_per_warp <= 0:

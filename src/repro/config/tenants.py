@@ -21,6 +21,7 @@ second string-keyed registry beside the selectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -66,17 +67,33 @@ class TenantSpec:
     #: Per-tenant trace seed; ``None`` inherits the run seed.
     seed: Optional[int] = None
 
-    def validate(self) -> None:
+    def validate(self, path: str = "tenant") -> None:
+        """Raise :class:`ConfigError` naming the key under ``path``."""
         if not self.name:
-            raise ConfigError("tenant name must be non-empty")
+            raise ConfigError(f"{path}.name must be non-empty")
         if self.tenant_class not in TENANT_CLASSES:
             raise ConfigError(
-                f"unknown tenant class {self.tenant_class!r} for tenant "
-                f"{self.name!r} (valid: {', '.join(TENANT_CLASSES)})"
+                f"{path}.tenant_class: unknown tenant class "
+                f"{self.tenant_class!r} for tenant {self.name!r} "
+                f"(valid: {', '.join(TENANT_CLASSES)})"
             )
-        if self.scale <= 0:
+        # NaN and +-Infinity fail this comparison.
+        if not 0 < self.scale < math.inf:
             raise ConfigError(
-                f"tenant {self.name!r} scale must be positive"
+                f"{path}.scale must be positive and finite, "
+                f"got {self.scale}"
+            )
+        # numpy's default_rng refuses negative seeds on the worker.
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(
+                f"{path}.seed must be null or >= 0, got {self.seed}"
+            )
+        from repro.workloads.registry import list_workloads
+
+        if self.workload not in list_workloads():
+            raise ConfigError(
+                f"{path}.workload: unknown workload {self.workload!r} "
+                f"(known: {', '.join(list_workloads())})"
             )
 
     @property
@@ -108,8 +125,8 @@ class TenantMixSpec:
             raise ConfigError(
                 f"tenant names must be unique, got {names!r}"
             )
-        for tenant in self.tenants:
-            tenant.validate()
+        for i, tenant in enumerate(self.tenants):
+            tenant.validate(f"tenants.tenants[{i}]")
         from repro.sched.policies import arbiter_names
 
         if self.arbiter not in arbiter_names():
