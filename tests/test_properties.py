@@ -3,8 +3,12 @@
 These drive the whole system (frontend -> L2 -> controller -> DRAM)
 with randomized small workload shapes and check conservation laws, the
 coverage bound, determinism, and — via the independent TimingChecker —
-that every DRAM command stream the scheduler emits is protocol-legal.
+that every DRAM command stream the scheduler emits is protocol-legal,
+under every selector and arbiter, both row policies, every device
+preset, and with refresh on or off.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +23,15 @@ from repro.config import (
     GPUConfig,
     SchedulerConfig,
 )
+from repro.config.tenants import TENANT_CLASSES, TenantMixSpec, TenantSpec
 from repro.dram import TimingChecker
+from repro.dram.devices import device_names, get_device
+from repro.sched.policies import arbiter_names, selector_names
+from repro.sim.spec import SimSpec
 from repro.sim.system import GPUSystem
 from repro.telemetry import MetricsHub
 from repro.workloads.layout import AddressSpace
+from repro.workloads.tenant_mix import TenantMix
 from repro.workloads.traces import row_visit_streams
 
 
@@ -81,13 +90,35 @@ scheduler_strategy = st.sampled_from(
 )
 
 
+#: One selector or arbiter, row policy, device and refresh setting.
+policy_strategy = st.fixed_dictionaries({
+    "row_policy": st.sampled_from(["open", "close"]),
+    "device": st.sampled_from(device_names()),
+    "refresh": st.booleans(),
+})
+
+
+def assert_protocol_legal_and_conserved(system, report) -> None:
+    """Every channel's command stream passes the TimingChecker, and
+    every arriving request is served or dropped."""
+    for channel in system.channels:
+        checker = TimingChecker(channel.timings)
+        checker.check_stream(channel.command_log)
+    arrived = sum(
+        s.reads_arrived + s.writes_arrived for s in report.channel_stats
+    )
+    assert report.requests_served + report.requests_dropped == arrived
+
+
 @settings(
-    max_examples=12,
+    max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
     scheduler=scheduler_strategy,
+    selector=st.sampled_from(selector_names()),
+    policy=policy_strategy,
     n_warps=st.sampled_from([4, 10, 24]),
     lines_per_visit=st.integers(min_value=1, max_value=4),
     visits=st.integers(min_value=1, max_value=2),
@@ -97,10 +128,16 @@ scheduler_strategy = st.sampled_from(
     seed=st.integers(min_value=0, max_value=3),
 )
 def test_full_system_invariants(
-    scheduler, n_warps, lines_per_visit, visits, skew, approximable,
-    write_component, seed,
+    scheduler, selector, policy, n_warps, lines_per_visit, visits, skew,
+    approximable, write_component, seed,
 ) -> None:
-    system = GPUSystem(scheduler=scheduler, log_commands=True)
+    scheduler = replace(
+        scheduler, arbiter=selector, row_policy=policy["row_policy"]
+    )
+    config = get_device(policy["device"]).apply(
+        GPUConfig(refresh_enabled=policy["refresh"])
+    )
+    system = GPUSystem(config, scheduler, log_commands=True)
     streams = build_streams(
         n_warps=n_warps,
         lines_per_visit=lines_per_visit,
@@ -112,12 +149,6 @@ def test_full_system_invariants(
         config=system.config,
     )
     report = system.run(streams, workload_name="prop")
-
-    # Conservation: every arriving request is served or dropped.
-    arrived = sum(
-        s.reads_arrived + s.writes_arrived for s in report.channel_stats
-    )
-    assert report.requests_served + report.requests_dropped == arrived
 
     # RBL accounting: the histogram partitions all served requests.
     hist = report.rbl_histogram
@@ -136,14 +167,64 @@ def test_full_system_invariants(
     if not approximable:
         assert report.requests_dropped == 0
 
-    # Every emitted DRAM command stream is protocol-legal.
-    for channel in system.channels:
-        checker = TimingChecker(channel.timings)
-        checker.check_stream(channel.command_log)
+    assert_protocol_legal_and_conserved(system, report)
 
     # Energy accounting is consistent with the counters.
     expected_row = report.activations * system.config.energy.e_act_nj
     assert report.row_energy_nj == pytest.approx(expected_row)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    scheduler=scheduler_strategy,
+    arbiter=st.sampled_from(arbiter_names()),
+    policy=policy_strategy,
+    tenants=st.lists(
+        st.tuples(
+            st.sampled_from(["synthetic", "MVT", "ATAX", "SCP"]),
+            st.sampled_from(TENANT_CLASSES),
+        ),
+        min_size=2, max_size=3,
+    ),
+    scale=st.sampled_from([0.02, 0.05]),
+    seed=st.integers(min_value=0, max_value=3),
+)
+def test_tenant_mix_invariants(
+    scheduler, arbiter, policy, tenants, scale, seed,
+) -> None:
+    """A 2-3 tenant mix under every arbiter is protocol-legal and
+    conserves requests, per tenant too, and drops only the requests of
+    ``approx-batch`` tenants."""
+    mix = TenantMixSpec(
+        tenants=tuple(
+            TenantSpec(f"t{i}", workload, tenant_class)
+            for i, (workload, tenant_class) in enumerate(tenants)
+        ),
+        arbiter=arbiter,
+    )
+    spec = SimSpec(
+        scheduler=replace(scheduler, row_policy=policy["row_policy"]),
+        device=policy["device"],
+        config=GPUConfig(refresh_enabled=policy["refresh"]),
+        tenants=mix,
+    )
+    system = GPUSystem.from_spec(spec, log_commands=True)
+    workload = TenantMix(mix, scale=scale, seed=seed)
+    report = system.run(
+        workload.trace(system.config),
+        workload_name=workload.name,
+        stream_tenants=workload.stream_tenants,
+    )
+    assert_protocol_legal_and_conserved(system, report)
+    for tenant in report.tenants.tenants:
+        arrived = tenant.reads_arrived + tenant.writes_arrived
+        assert tenant.requests_served + tenant.requests_dropped == arrived
+        if tenant.tenant_class != "approx-batch":
+            assert tenant.requests_dropped == 0
 
 
 @settings(
