@@ -22,6 +22,10 @@ threaded into the tier's worker processes:
    labeled ``degraded``, and cold specs get an honest 503.
 6. **Load shedding** — with every worker busy and the queue past its
    watermark, submissions shed with 429 + Retry-After.
+7. **Deadlines and in-thread retries** — a hung attempt is killed at
+   ``cell_timeout`` and retried byte-identically (or, with no retries
+   left, fails as a fatal ``CellTimeoutError``), and a telemetry job
+   retries a failing in-thread simulation under the same rule.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from repro.errors import CircuitOpenError, ServiceBusyError
 from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan
 from repro.harness.schemes import scheme_def
+from repro.service import server as server_mod
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceDaemon
 from repro.sim.spec import SimSpec
@@ -43,6 +48,7 @@ from repro.telemetry.hub import (
     SERVICE_SHED,
     SERVICE_STALE_SERVED,
     SERVICE_TIER_RESPAWNS,
+    SERVICE_TIER_TIMEOUTS,
 )
 
 SCALE = 0.05
@@ -63,6 +69,18 @@ def _daemon(tmp_path, **kwargs) -> ServiceDaemon:
 
 def _spec(scheme: str = "dyn-dms", **kwargs) -> SimSpec:
     return SimSpec(scheduler=scheme_def(scheme).build(), **kwargs)
+
+
+def _run_one(daemon: ServiceDaemon, spec: SimSpec) -> dict:
+    """Start ``daemon``, run one synthetic job of ``spec`` to its end,
+    stop the daemon and return the job's status document."""
+    daemon.start_in_thread()
+    try:
+        client = ServiceClient(port=daemon.port)
+        job = client.submit("synthetic", spec=spec, scale=SCALE)
+        return client.wait(job["id"], timeout=WAIT)
+    finally:
+        daemon.stop()
 
 
 # ----------------------------------------------------------------------
@@ -405,3 +423,79 @@ def test_saturated_tier_sheds_with_retry_after(tmp_path):
                 "done"
     finally:
         daemon.stop()
+
+
+# ----------------------------------------------------------------------
+# 7: per-attempt deadlines on the tier, retries of in-thread jobs
+# ----------------------------------------------------------------------
+#: Far above a clean synthetic job at ``SCALE``, far below the hang.
+CELL_TIMEOUT = 3.0
+
+
+def test_hung_job_is_killed_at_its_deadline_and_retried(tmp_path):
+    """Dispatch 0 hangs for 300 s; the tier kills its worker at the
+    deadline and the retry finishes byte-identically to an undisturbed
+    run, with one timeout and one respawn counted."""
+    reference = _run_one(
+        _daemon(tmp_path / "ref",
+                cache=ResultCache(tmp_path / "ref" / "cache")),
+        _spec(),
+    )
+    daemon = _daemon(
+        tmp_path, cell_timeout=CELL_TIMEOUT,
+        chaos=FaultPlan.parse("hang@0:300"),
+    )
+    doc = _run_one(daemon, _spec())
+    assert doc["state"] == "done", doc.get("error")
+    assert doc["attempts"] == 2  # one kill, one clean retry
+    assert json.dumps(doc["result"], sort_keys=True) == json.dumps(
+        reference["result"], sort_keys=True
+    )
+    counters = daemon.hub.snapshot()["counters"]
+    assert counters.get(SERVICE_TIER_TIMEOUTS, 0) == 1
+    assert counters.get(SERVICE_TIER_RESPAWNS, 0) == 1
+
+
+def test_hung_job_without_retries_fails_as_a_fatal_timeout(tmp_path):
+    daemon = _daemon(
+        tmp_path, cell_timeout=CELL_TIMEOUT, retries=0,
+        chaos=FaultPlan.parse("hang@0:300"),
+    )
+    doc = _run_one(daemon, _spec())
+    assert doc["state"] == "failed"
+    assert doc["error"]["error_type"] == "CellTimeoutError"
+    assert doc["error"]["attempts"] == 1
+    entry = daemon.breaker.entry(doc["key"])
+    assert (entry.failures, entry.fatal_failures) == (1, 1)
+
+
+def _failing_simulate(monkeypatch, failures: int) -> None:
+    """Make the daemon's in-thread ``simulate_spec`` raise on its first
+    ``failures`` calls, then simulate normally."""
+    real = server_mod.simulate_spec
+    calls = {"n": 0}
+
+    def simulate_spec(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] <= failures:
+            raise RuntimeError(f"injected in-thread failure {calls['n']}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(server_mod, "simulate_spec", simulate_spec)
+
+
+def test_telemetry_job_retries_a_failed_simulation(tmp_path, monkeypatch):
+    _failing_simulate(monkeypatch, failures=1)
+    doc = _run_one(_daemon(tmp_path), _spec(telemetry=True))
+    assert doc["state"] == "done", doc.get("error")
+    assert doc["attempts"] == 2
+    assert doc["result"]["timeline"]
+
+
+def test_telemetry_job_fails_after_its_retries(tmp_path, monkeypatch):
+    _failing_simulate(monkeypatch, failures=10**6)
+    doc = _run_one(_daemon(tmp_path, retries=2), _spec(telemetry=True))
+    assert doc["state"] == "failed"
+    assert doc["attempts"] == doc["error"]["attempts"] == 3
+    assert doc["error"]["error_type"] == "RuntimeError"
+    assert "injected in-thread failure 3" in doc["error"]["traceback"]
