@@ -51,11 +51,15 @@ import dataclasses
 import json
 import os
 import time
+import traceback as traceback_mod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.errors import HarnessError, WorkerCrashError
+from repro.errors import CellTimeoutError, HarnessError, WorkerCrashError
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.harness.runner import CellSpec
 
 #: Environment variable holding the default fault plan.
 ENV_CHAOS = "REPRO_CHAOS"
@@ -266,6 +270,70 @@ class CellFailure:
         )
 
 
+@dataclass
+class CellAttempts:
+    """The attempts of one cell under the one retry rule.
+
+    Every path that runs a cell — the runner's serial loop, the pooled
+    supervisor (:func:`repro.harness.pool.run_cells`) that the runner
+    and the service tier share, and the daemon's in-thread telemetry
+    jobs — charges its failed attempts here: a cell gets ``1 + retries``
+    attempts, spaced by :meth:`delay`, and then becomes a
+    :class:`CellFailure`.
+    """
+
+    cell: "CellSpec"
+    #: The cell's content key and the label it is logged under.
+    key: str
+    label: str
+    retries: int
+    #: Base of the deterministic exponential backoff, in seconds.
+    backoff: float
+    #: The ordinal a :class:`FaultPlan` addresses the cell by.
+    index: int = 0
+    #: Failed attempts so far; the next attempt is ``attempts + 1``.
+    attempts: int = 0
+    #: Wall-clock seconds burned across the failed attempts.
+    elapsed: float = 0.0
+    #: Some attempt killed or hung its worker process.
+    fatal: bool = False
+    error: Optional[BaseException] = None
+    traceback: str = ""
+
+    def fail(self, exc: BaseException, elapsed: float) -> bool:
+        """Log one failed attempt; True while another one is allowed."""
+        self.attempts += 1
+        self.elapsed += elapsed
+        self.error = exc
+        self.traceback = "".join(
+            traceback_mod.format_exception(type(exc), exc, exc.__traceback__)
+        )
+        if isinstance(exc, (WorkerCrashError, CellTimeoutError)):
+            self.fatal = True
+        return self.attempts <= self.retries
+
+    def delay(self) -> float:
+        """Backoff before the next attempt: ``backoff * 2**(n-1)`` after
+        the n-th failure. No jitter, by design: reproducibility of a
+        chaos run matters more here than the thundering-herd protection
+        jitter buys on shared services."""
+        return self.backoff * 2.0 ** (self.attempts - 1)
+
+    def failure(self) -> CellFailure:
+        """The quarantine record of the attempts so far."""
+        exc = self.error
+        return CellFailure(
+            app=self.cell.app,
+            label=self.label,
+            key=self.key,
+            error_type=type(exc).__name__ if exc is not None else "Unknown",
+            message=str(exc) if exc is not None else "",
+            traceback=self.traceback,
+            attempts=self.attempts,
+            elapsed=self.elapsed,
+        )
+
+
 def failure_manifest(failures: list[CellFailure]) -> dict:
     """The structured manifest serialized by the CLI (``--failures-out``)."""
     return {
@@ -276,6 +344,7 @@ def failure_manifest(failures: list[CellFailure]) -> dict:
 
 __all__ = [
     "CHAOS_EXIT_STATUS",
+    "CellAttempts",
     "CellFailure",
     "ChaosCrash",
     "ENV_CHAOS",

@@ -28,21 +28,28 @@ with workers that outlive individual matrices:
   broken.  Every respawn notifies ``on_rebuild`` (the runner wires this
   to the ``harness.pool_rebuilds`` metric).
 
-The pool resolves plain :class:`concurrent.futures.Future` objects, so
-the supervising runner keeps using ``concurrent.futures.wait``.
+The pool resolves plain :class:`concurrent.futures.Future` objects.
+:func:`run_cells` is the one supervisor on top of it: it runs a list of
+cells until each succeeds or exhausts its retries, and both the
+runner's ``--jobs N`` sweeps and the service tier's jobs go through it.
 """
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import threading
 import time
 import traceback
 from concurrent.futures import Future
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.errors import WorkerCrashError
+from repro.errors import CellTimeoutError, WorkerCrashError
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.harness.faults import CellAttempts, FaultPlan
+    from repro.sim.report import SimReport
 
 #: A work item, exactly the tuple the seed pool entry point took:
 #: ``(cache key, CellSpec, FaultPlan | None, cell index, attempt)``.
@@ -524,4 +531,92 @@ class WarmPool:
             self._resolve(future, exc=exc)
 
 
-__all__ = ["WarmPool", "WorkItem"]
+async def run_cells(
+    pool: WarmPool,
+    cells: list["CellAttempts"],
+    *,
+    faults: Optional["FaultPlan"] = None,
+    timeout: Optional[float] = None,
+    charge: Callable[["CellAttempts", BaseException, float], bool],
+    finish: Callable[["CellAttempts", "SimReport", float], None],
+    on_dispatch: Optional[Callable[["CellAttempts"], None]] = None,
+) -> None:
+    """Run ``cells`` on ``pool`` until each succeeds or is quarantined.
+
+    Each success goes to ``finish(record, report, seconds)`` as it
+    arrives; each failed attempt to ``charge(record, error, seconds)``,
+    which logs it on the record and returns whether to retry it after
+    ``record.delay()``. ``on_dispatch`` sees every attempt as it is sent.
+
+    * With no ``timeout`` every first attempt goes out in one
+      :meth:`WarmPool.submit_many`, one message per worker, so the
+      cells one worker receives share its workload memo.
+    * With a ``timeout`` at most ``pool.size`` cells are in flight,
+      each on its own worker (the pool assigns least-loaded), so
+      dispatch time + ``timeout`` is an accurate deadline. A cell whose
+      time runs out is charged a :class:`~repro.errors.CellTimeoutError`
+      and :meth:`WarmPool.kill_owner` kills exactly its worker.
+
+    A worker that dies fails only its own cells, as
+    :class:`~repro.errors.WorkerCrashError` attempts, and its slot
+    respawns inside the pool.
+    """
+    loop = asyncio.get_running_loop()
+    slots = asyncio.Semaphore(pool.size) if timeout is not None else None
+
+    def submit(batch: list["CellAttempts"]) -> list[Future]:
+        for record in batch:
+            if on_dispatch is not None:
+                on_dispatch(record)
+        return pool.submit_many([
+            (record.key, record.cell, faults, record.index,
+             record.attempts + 1)
+            for record in batch
+        ])
+
+    sent = time.monotonic()
+    first = submit(cells) if slots is None else None
+
+    async def attempts(n: int, record: "CellAttempts") -> None:
+        future = first[n] if first is not None else None
+        started = sent
+        while True:
+            if slots is not None:
+                await slots.acquire()
+            try:
+                if future is None:
+                    started = time.monotonic()
+                    future = submit([record])[0]
+                try:
+                    _, report, elapsed = await asyncio.wait_for(
+                        asyncio.wrap_future(future), timeout
+                    )
+                except asyncio.TimeoutError:
+                    # wait_for cancelled the future; the pool detaches
+                    # it and respawns the one worker that hosted it.
+                    await loop.run_in_executor(
+                        None, pool.kill_owner, future
+                    )
+                    error: BaseException = CellTimeoutError(
+                        f"{record.cell.app}/{record.label} exceeded the "
+                        f"{timeout:.1f}s per-cell wall-clock timeout"
+                    )
+                except Exception as exc:
+                    error = exc
+                else:
+                    finish(record, report, elapsed)
+                    return
+            finally:
+                if slots is not None:
+                    slots.release()
+            if not charge(record, error, time.monotonic() - started):
+                return
+            await asyncio.sleep(record.delay())
+            future = None
+
+    await asyncio.gather(
+        *(attempts(n, record) for n, record in enumerate(cells))
+    )
+
+
+__all__ = ["WarmPool", "WorkItem", "run_cells"]

@@ -35,11 +35,14 @@ single crashed or hung worker must not throw away a whole sweep):
 
 * every cell gets up to ``1 + retries`` attempts, retried after a
   deterministic (jitter-free) exponential backoff of
-  ``retry_backoff * 2**(attempt-1)`` seconds;
+  ``retry_backoff * 2**(attempt-1)`` seconds. One
+  :class:`~repro.harness.faults.CellAttempts` record per cell keeps
+  that rule, in the serial loop and in the pool alike;
+* pooled cells run under :func:`~repro.harness.pool.run_cells`, the
+  same coroutine the service tier runs its jobs through;
 * ``cell_timeout`` bounds each attempt's wall-clock time — the pool
   kills *exactly* the worker hosting the expired cell and respawns it;
-  innocent in-flight cells keep running undisturbed (the seed executor
-  could only tear down the whole pool);
+  innocent in-flight cells keep running undisturbed;
 * a dead worker fails its own in-flight cells with a
   :class:`~repro.errors.WorkerCrashError` attempt each and its slot is
   respawned automatically (counted in ``harness.pool_rebuilds``);
@@ -60,24 +63,27 @@ single crashed or hung worker must not throw away a whole sweep):
 
 from __future__ import annotations
 
+import asyncio
 import cProfile
 import io
 import pstats
 import sys
 import time
-import traceback as traceback_mod
 import weakref
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field, replace
-from typing import Deque, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.config.scheduler import SchedulerConfig
 from repro.dram.request import reset_request_ids
 from repro.errors import CellFailedError, CellTimeoutError, WorkerCrashError
 from repro.harness.cache import ResultCache, cache_key
-from repro.harness.faults import CellFailure, FaultPlan, corrupt_blob
-from repro.harness.pool import WarmPool
+from repro.harness.faults import (
+    CellAttempts,
+    CellFailure,
+    FaultPlan,
+    corrupt_blob,
+)
+from repro.harness.pool import WarmPool, run_cells
 from repro.sim.report import SimReport
 from repro.sim.spec import SimSpec
 from repro.sim.system import GPUSystem, simulate_spec
@@ -198,45 +204,6 @@ def _simulate_cell(
     start = time.perf_counter()
     report = simulate_spec(workloads[key], cell.spec)
     return report, time.perf_counter() - start
-
-
-@dataclass
-class _CellTask:
-    """Mutable supervision state of one deduplicated matrix cell."""
-
-    key: str
-    cell: CellSpec
-    label: str
-    index: int
-    #: Completed (failed) attempts so far; the next attempt is +1.
-    attempts: int = 0
-    #: Monotonic time before which the task must not be (re)dispatched.
-    next_ready: float = 0.0
-    #: Wall-clock seconds burned across all failed attempts.
-    elapsed: float = 0.0
-    last_error: Optional[BaseException] = None
-    last_traceback: str = ""
-
-    def record_error(self, exc: BaseException, elapsed: float) -> None:
-        self.attempts += 1
-        self.elapsed += elapsed
-        self.last_error = exc
-        self.last_traceback = "".join(
-            traceback_mod.format_exception(type(exc), exc, exc.__traceback__)
-        )
-
-    def to_failure(self) -> CellFailure:
-        exc = self.last_error
-        return CellFailure(
-            app=self.cell.app,
-            label=self.label,
-            key=self.key,
-            error_type=type(exc).__name__ if exc is not None else "Unknown",
-            message=str(exc) if exc is not None else "",
-            traceback=self.last_traceback,
-            attempts=self.attempts,
-            elapsed=self.elapsed,
-        )
 
 
 class MatrixResult(dict):
@@ -392,17 +359,17 @@ class Runner:
 
     # ------------------------------------------------------------------
     def _simulate_inline(
-        self, task: _CellTask, workloads: dict
+        self, record: CellAttempts, workloads: dict
     ) -> tuple[SimReport, float]:
-        """In-process simulation of the task's next attempt, optionally
+        """In-process simulation of the cell's next attempt, optionally
         under the profiler."""
         profiler = cProfile.Profile() if self.profile else None
         if profiler is not None:
             profiler.enable()
         try:
             return _simulate_cell(
-                task.cell, workloads=workloads, faults=self.faults,
-                cell_index=task.index, attempt=task.attempts + 1,
+                record.cell, workloads=workloads, faults=self.faults,
+                cell_index=record.index, attempt=record.attempts + 1,
             )
         finally:
             if profiler is not None:
@@ -411,15 +378,15 @@ class Runner:
                 stats = pstats.Stats(profiler, stream=buffer)
                 stats.sort_stats("cumulative").print_stats(PROFILE_TOP_N)
                 self.profiles.append(
-                    {"app": task.cell.app, "label": task.label,
+                    {"app": record.cell.app, "label": record.label,
                      "stats": buffer.getvalue()}
                 )
 
     def _finish(
-        self, task: _CellTask, report: SimReport, elapsed: float
+        self, record: CellAttempts, report: SimReport, elapsed: float
     ) -> None:
         """Account, log, memoize, and persist one freshly simulated cell."""
-        cell, label = task.cell, task.label
+        cell, label = record.cell, record.label
         self.simulations_run += 1
         self.metrics.inc(HARNESS_SIMULATED)
         self._log(
@@ -427,13 +394,13 @@ class Runner:
             f"{elapsed:.1f}s, acts={report.activations}, "
             f"ipc={report.ipc:.2f}",
         )
-        self._memo[task.key] = report
+        self._memo[record.key] = report
         if self.cache is not None:
-            path = self.cache.store(task.key, report, meta=cell.cache_meta)
+            path = self.cache.store(record.key, report, meta=cell.cache_meta)
             if (
                 path is not None
                 and self.faults is not None
-                and self.faults.should_corrupt(task.index)
+                and self.faults.should_corrupt(record.index)
             ):
                 corrupt_blob(path)
                 self.metrics.inc(HARNESS_CHAOS_CORRUPTED)
@@ -551,23 +518,25 @@ class Runner:
                     continue
             todo[key] = (cell, label)
         if todo:
-            tasks = [
-                _CellTask(key=key, cell=cell, label=label, index=i)
+            records = [
+                CellAttempts(
+                    cell=cell, key=key, label=label, index=i,
+                    retries=self.retries, backoff=self.retry_backoff,
+                )
                 for i, (key, (cell, label)) in enumerate(todo.items())
             ]
             use_pool = (
                 not self.profile  # workers cannot be profiled from here
                 and (
-                    (jobs > 1 and len(tasks) > 1)
+                    (jobs > 1 and len(records) > 1)
                     or self.cell_timeout is not None
                 )
             )
             if use_pool:
-                new = self._run_supervised(tasks, max(jobs, 1))
+                self._run_supervised(records, max(jobs, 1))
             else:
-                new = self._run_serial(tasks)
-            self.failures.extend(new)
-            failed.update((f.key, f) for f in new)
+                self._run_serial(records)
+            failed = {f.key: f for f in self.failures}
         result = MatrixResult()
         for cell, key in cells.items():
             if key in self._memo:
@@ -589,195 +558,70 @@ class Runner:
     # ------------------------------------------------------------------
     # Attempt bookkeeping shared by the serial and pooled paths
     # ------------------------------------------------------------------
-    def _backoff_delay(self, task: _CellTask) -> float:
-        """Deterministic exponential backoff — no jitter, by design:
-        reproducibility of a chaos run matters more here than the
-        thundering-herd protection jitter buys on shared services."""
-        return self.retry_backoff * (2.0 ** (task.attempts - 1))
-
-    def _charge_attempt(
-        self,
-        task: _CellTask,
-        exc: BaseException,
-        elapsed: float,
-        failures: list[CellFailure],
+    def _charge(
+        self, record: CellAttempts, exc: BaseException, elapsed: float
     ) -> bool:
-        """Record a failed attempt; returns True when the cell should be
-        retried (False = quarantined into ``failures``)."""
-        task.record_error(exc, elapsed)
+        """Charge a failed attempt; returns True when the cell is
+        retried, False when it is quarantined into :attr:`failures`."""
+        retry = record.fail(exc, elapsed)
         self.metrics.inc(HARNESS_FAILED_ATTEMPTS)
         if isinstance(exc, CellTimeoutError):
             self.metrics.inc(HARNESS_TIMEOUTS)
         if isinstance(exc, WorkerCrashError):
             self.metrics.inc(HARNESS_WORKER_CRASHES)
-        if task.attempts > self.retries:
-            failure = task.to_failure()
-            failures.append(failure)
+        if not retry:
+            self.failures.append(record.failure())
             self.metrics.inc(HARNESS_QUARANTINED)
             self._log(
-                task.cell.app, task.label,
-                f"quarantined: {failure.error_type}: {failure.message}",
+                record.cell.app, record.label,
+                f"quarantined: {type(exc).__name__}: {exc}",
             )
             return False
         self.metrics.inc(HARNESS_RETRIES)
         self._log(
-            task.cell.app, task.label,
-            f"attempt {task.attempts} failed ({type(exc).__name__}: {exc}); "
-            f"retrying in {self._backoff_delay(task):.2f}s",
+            record.cell.app, record.label,
+            f"attempt {record.attempts} failed ({type(exc).__name__}: "
+            f"{exc}); retrying in {record.delay():.2f}s",
         )
         return True
 
-    def _run_serial(self, tasks: list[_CellTask]) -> list[CellFailure]:
+    def _run_serial(self, records: list[CellAttempts]) -> None:
         """In-process execution with retries (no preemption, no timeout).
 
-        The tasks arrive app by app, so the workload memo of this call
+        The cells arrive app by app, so the workload memo of this call
         serves each app's schemes from one workload."""
-        failures: list[CellFailure] = []
         workloads: dict = {}
-        for task in tasks:
+        for record in records:
             while True:
                 start = time.perf_counter()
                 try:
-                    report, elapsed = self._simulate_inline(task, workloads)
+                    report, elapsed = self._simulate_inline(
+                        record, workloads
+                    )
                 except Exception as exc:
                     wasted = time.perf_counter() - start
-                    if not self._charge_attempt(
-                        task, exc, wasted, failures
-                    ):
+                    if not self._charge(record, exc, wasted):
                         break
-                    time.sleep(self._backoff_delay(task))
+                    time.sleep(record.delay())
                 else:
-                    self._finish(task, report, elapsed)
+                    self._finish(record, report, elapsed)
                     break
-        return failures
 
-    # ------------------------------------------------------------------
-    # Supervised warm-worker pool
-    # ------------------------------------------------------------------
     def _run_supervised(
-        self, tasks: list[_CellTask], jobs: int
-    ) -> list[CellFailure]:
+        self, records: list[CellAttempts], jobs: int
+    ) -> None:
         """Fan cells out over the persistent, self-healing warm pool.
 
-        Two dispatch regimes:
-
-        * no ``cell_timeout`` — the whole queue is dispatched at once,
-          batched one pipe message per worker, and results stream back
-          as they complete;
-        * with a ``cell_timeout`` — at most ``workers`` cells are in
-          flight, each on its own worker (the pool assigns
-          least-loaded), so every submitted future is actually
-          *running* and ``submit time + cell_timeout`` is an accurate
-          kill deadline. A breached deadline kills exactly the worker
-          hosting the expired cell; innocent in-flight neighbours keep
-          running undisturbed.
-
-        A worker that dies fails only its own in-flight futures (as
-        :class:`~repro.errors.WorkerCrashError` attempts, charged here
-        through the ordinary retry path) and its slot respawns inside
-        the pool — there is no whole-pool teardown to recover from.
+        :func:`~repro.harness.pool.run_cells` supervises them, the same
+        coroutine the service tier runs its jobs through: without a
+        ``cell_timeout`` every cell goes out at once, batched one pipe
+        message per worker; with one, each in-flight cell has a worker
+        of its own and a breached deadline kills exactly that worker.
+        Failed attempts are charged through :meth:`_charge`, successes
+        through :meth:`_finish`, each as it arrives.
         """
-        failures: list[CellFailure] = []
-        workers = max(1, min(jobs, len(tasks)))
-        pool = self._ensure_pool(workers)
-        queue: Deque[_CellTask] = deque(tasks)
-        running: dict = {}  # future -> (task, submit_time, deadline)
-        limit = workers if self.cell_timeout is not None else len(tasks)
-
-        def submit_ready(now: float) -> None:
-            batch: list[_CellTask] = []
-            scanned = 0
-            while (
-                queue
-                and len(running) + len(batch) < limit
-                and scanned < len(queue)
-            ):
-                task = queue.popleft()
-                if task.next_ready > now:
-                    queue.append(task)
-                    scanned += 1
-                    continue
-                batch.append(task)
-            if not batch:
-                return
-            futures = pool.submit_many([
-                (
-                    task.key, task.cell, self.faults,
-                    task.index, task.attempts + 1,
-                )
-                for task in batch
-            ])
-            deadline = (
-                now + self.cell_timeout
-                if self.cell_timeout is not None else None
-            )
-            for task, future in zip(batch, futures):
-                running[future] = (task, now, deadline)
-
-        def requeue(task: _CellTask, delay: float) -> None:
-            task.next_ready = time.monotonic() + delay
-            queue.append(task)
-
-        def fail_attempt(
-            task: _CellTask, exc: BaseException, elapsed: float
-        ) -> None:
-            if self._charge_attempt(task, exc, elapsed, failures):
-                requeue(task, self._backoff_delay(task))
-
-        while queue or running:
-            now = time.monotonic()
-            submit_ready(now)
-            if not running:
-                # Nothing in flight: sleep until the earliest retry.
-                wake = min(task.next_ready for task in queue)
-                time.sleep(max(0.0, wake - now))
-                continue
-            wait_for: list[float] = []
-            deadlines = [
-                dl for (_, _, dl) in running.values() if dl is not None
-            ]
-            if deadlines:
-                wait_for.append(min(deadlines) - now)
-            if queue and len(running) < limit:
-                wait_for.append(
-                    min(t.next_ready for t in queue) - now
-                )
-            timeout = max(0.0, min(wait_for)) if wait_for else None
-            done, _ = wait(
-                set(running), timeout=timeout,
-                return_when=FIRST_COMPLETED,
-            )
-            now = time.monotonic()
-            for future in done:
-                task, submitted, _ = running.pop(future)
-                try:
-                    _, report, elapsed = future.result()
-                except Exception as exc:
-                    # Includes WorkerCrashError set by the pool when a
-                    # worker died: only that worker's cells land here,
-                    # and its slot has already respawned.
-                    fail_attempt(task, exc, now - submitted)
-                else:
-                    self._finish(task, report, elapsed)
-            if not done:
-                expired = [
-                    (future, task, submitted)
-                    for future, (task, submitted, dl) in running.items()
-                    if dl is not None and dl <= now and not future.done()
-                ]
-                for future, task, submitted in expired:
-                    del running[future]
-                    # Surgical kill: only the hung cell's worker dies
-                    # (and respawns); the future was detached above, so
-                    # the one charged attempt is the timeout below.
-                    pool.kill_owner(future)
-                    fail_attempt(
-                        task,
-                        CellTimeoutError(
-                            f"{task.cell.app}/{task.label} exceeded "
-                            f"the {self.cell_timeout:.1f}s per-cell "
-                            "wall-clock timeout"
-                        ),
-                        now - submitted,
-                    )
-        return failures
+        pool = self._ensure_pool(max(1, min(jobs, len(records))))
+        asyncio.run(run_cells(
+            pool, records, faults=self.faults, timeout=self.cell_timeout,
+            charge=self._charge, finish=self._finish,
+        ))

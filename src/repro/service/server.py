@@ -24,13 +24,15 @@ cache-first against the shared :class:`~repro.harness.cache.ResultCache`,
 identical in-flight specs coalesce onto one computation
 (:mod:`repro.service.queue`), and simulations run on a **supervised
 worker tier** (:class:`~repro.service.workers.WorkerTier`): ``workers``
-persistent simulator *processes* over the PR 6
+persistent simulator *processes* over a
 :class:`~repro.harness.pool.WarmPool`, with heartbeats, per-job
 wall-clock deadlines, and in-place respawn — a crashing or hung worker
 fails only its own in-flight job and never takes the daemon down.
 Jobs whose spec asks for telemetry run in-process (executor thread)
 instead so their :class:`~repro.telemetry.sampler.WindowSeries`
-samples can be streamed over SSE *while the simulation is running*.
+samples can be streamed over SSE *while the simulation is running*;
+their attempts follow the same retry rule
+(:class:`~repro.harness.faults.CellAttempts`).
 
 Robustness layers around the tier:
 
@@ -79,7 +81,7 @@ from repro.analytics.warehouse import (
 from repro.dram.request import reset_request_ids
 from repro.errors import ConfigError, JobStateError
 from repro.harness.cache import ResultCache
-from repro.harness.faults import CellFailure, FaultPlan
+from repro.harness.faults import CellAttempts, FaultPlan
 from repro.harness.schemes import WINDOW_CYCLES
 from repro.service.breaker import CircuitBreaker, RejectedByBreaker
 from repro.service.jobs import (
@@ -495,47 +497,30 @@ class ServiceDaemon:
     # ------------------------------------------------------------------
     def _execute_streaming(self, job: Job) -> SimReport:
         """In-process execution with a live telemetry hub attached, so
-        the SSE streamer can watch windows arrive mid-run. Same retry
-        policy and :class:`CellFailure` records as the worker tier, but
-        no preemptive ``cell_timeout`` (an in-thread simulation cannot
-        be killed; use a non-telemetry spec when you need hard kills).
+        the SSE streamer can watch windows arrive mid-run. Failed
+        attempts are charged to the same :class:`CellAttempts` record
+        as on the worker tier, but there is no preemptive
+        ``cell_timeout`` (an in-thread simulation cannot be killed; use
+        a non-telemetry spec when you need hard kills).
         """
         cell = job.cell
-        spec = cell.spec
-        attempts = 0
-        elapsed = 0.0
+        record = CellAttempts(
+            cell=cell, key=job.key, label=cell.spec.scheduler.name,
+            retries=self.retries, backoff=self.retry_backoff,
+        )
         while True:
-            attempts += 1
-            job.attempts = attempts
+            job.attempts = record.attempts + 1
             start = time.perf_counter()
             try:
                 reset_request_ids()
                 workload = cell.workload()
                 hub = MetricsHub(window_cycles=self.window_cycles)
                 job.live_hub = hub
-                report = simulate_spec(workload, spec, telemetry=hub)
+                report = simulate_spec(workload, cell.spec, telemetry=hub)
             except Exception as exc:
-                elapsed += time.perf_counter() - start
-                if attempts > self.retries:
-                    raise TierExecutionFailed(
-                        CellFailure(
-                            app=job.app,
-                            label=spec.scheduler.name,
-                            key=job.key,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            traceback="".join(
-                                traceback_mod.format_exception(
-                                    type(exc), exc, exc.__traceback__
-                                )
-                            ),
-                            attempts=attempts,
-                            elapsed=elapsed,
-                        ),
-                        fatal=False,
-                    ) from exc
-                # PR 3's deterministic jitter-free exponential backoff.
-                time.sleep(self.retry_backoff * 2.0 ** (attempts - 1))
+                if not record.fail(exc, time.perf_counter() - start):
+                    raise TierExecutionFailed(record) from exc
+                time.sleep(record.delay())
             else:
                 self.hub.inc(SERVICE_SIMULATIONS)
                 if self.cache.enabled:

@@ -1,14 +1,13 @@
 """The supervised worker tier: N simulator processes behind the queue.
 
-PR 5 executed every job on a thread inside the daemon process — one
-wedged simulation blocked a worker thread forever, a crash in C-level
-code (or an ``os._exit``) took the whole daemon down, and there was no
-per-worker visibility.  :class:`WorkerTier` lifts the PR 3/PR 6
-supervision machinery into the daemon: jobs run in *separate
-processes* owned by a persistent :class:`~repro.harness.pool.WarmPool`,
-so a dying worker fails only its own in-flight job and respawns in
-place while the daemon — and every other in-flight job and SSE
-watcher — keeps serving.
+Jobs run in *separate processes* owned by a persistent
+:class:`~repro.harness.pool.WarmPool`, so a wedged simulation or a
+crash in C-level code (or an ``os._exit``) fails only its own job: the
+worker respawns in place while the daemon — and every other in-flight
+job and SSE watcher — keeps serving.  Each job is one cell run by
+:func:`~repro.harness.pool.run_cells`, the coroutine that also
+supervises the runner's ``--jobs N`` sweeps, and its attempts are
+charged to one :class:`~repro.harness.faults.CellAttempts` record.
 
 Supervision layers, mirroring the staged design the paper's serving
 argument rests on (admission / arbitration / execution failing
@@ -20,9 +19,9 @@ independently):
   :class:`~repro.errors.CellTimeoutError`;
 * **crash isolation + retry** — a worker death surfaces as
   :class:`~repro.errors.WorkerCrashError` on that job only; bounded
-  retries with the PR 3 deterministic backoff re-dispatch onto a fresh
-  worker, and because every attempt re-seeds request ids, a report
-  produced after N crashes is byte-identical to a first-try run;
+  retries with the harness's deterministic backoff re-dispatch onto a
+  fresh worker, and because every attempt re-seeds request ids, a
+  report produced after N crashes is byte-identical to a first-try run;
 * **heartbeats** — a background task pings idle workers and respawns
   any that go silent (busy workers are covered by deadlines, so the
   heartbeat never misfires on a long simulation);
@@ -34,20 +33,18 @@ independently):
 
 Failures that exhaust their retries raise :class:`TierExecutionFailed`
 carrying the structured :class:`~repro.harness.faults.CellFailure` and
-a ``fatal`` flag (worker-killing vs plain exception) — the daemon feeds
-that flag into the per-key circuit breaker.
+a ``fatal`` flag (some attempt killed or hung its worker) — the daemon
+feeds that flag into the per-key circuit breaker.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
-import traceback as traceback_mod
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import CellTimeoutError, WorkerCrashError
-from repro.harness.faults import CellFailure, FaultPlan
-from repro.harness.pool import WarmPool
+from repro.harness.faults import CellAttempts, FaultPlan
+from repro.harness.pool import WarmPool, run_cells
 from repro.sim.report import SimReport
 from repro.telemetry.hub import (
     NULL_HUB,
@@ -67,6 +64,10 @@ DEFAULT_HEARTBEAT_SECONDS = 2.0
 STALE_HEARTBEATS = 5
 
 
+class TierUnavailable(Exception):
+    """The failure of a job that found the tier paused or closed."""
+
+
 class TierExecutionFailed(Exception):
     """A job exhausted its retries on the tier.
 
@@ -75,10 +76,10 @@ class TierExecutionFailed(Exception):
     the circuit breaker weighs).
     """
 
-    def __init__(self, failure: CellFailure, *, fatal: bool) -> None:
-        super().__init__(failure.summary())
-        self.failure = failure
-        self.fatal = fatal
+    def __init__(self, record: CellAttempts) -> None:
+        self.failure = record.failure()
+        self.fatal = record.fatal
+        super().__init__(self.failure.summary())
 
 
 class WorkerTier:
@@ -201,91 +202,43 @@ class WorkerTier:
         The job's :attr:`~repro.service.jobs.Job.attempts` counter is
         kept live so status documents show retry progress mid-flight.
         """
+        record = CellAttempts(
+            cell=job.cell, key=job.key, label=job.spec.scheduler.name,
+            retries=self.retries, backoff=self.retry_backoff,
+            index=self._dispatches,
+        )
         if not self.available:
-            raise TierExecutionFailed(
-                CellFailure(
-                    app=job.app,
-                    label=job.spec.scheduler.name,
-                    key=job.key,
-                    error_type="TierUnavailable",
-                    message="execution tier is paused or closed",
-                    traceback="",
-                    attempts=0,
-                    elapsed=0.0,
-                ),
-                fatal=False,
+            record.error = TierUnavailable(
+                "execution tier is paused or closed"
             )
-        cell = job.cell
-        ordinal = self._dispatches
+            raise TierExecutionFailed(record)
         self._dispatches += 1
-        loop = asyncio.get_running_loop()
+        reports: list[SimReport] = []
+
+        def charge(record: CellAttempts, exc: BaseException,
+                   elapsed: float) -> bool:
+            if isinstance(exc, CellTimeoutError):
+                self.metrics.inc(SERVICE_TIER_TIMEOUTS)
+            elif isinstance(exc, WorkerCrashError):
+                self.metrics.inc(SERVICE_TIER_CRASHES)
+            return record.fail(exc, elapsed)
+
+        def dispatched(record: CellAttempts) -> None:
+            job.attempts = record.attempts + 1
+
         self.inflight[job.id] = job
-        elapsed_total = 0.0
-        fatal_seen = False
-        last_exc: Optional[BaseException] = None
-        last_tb = ""
         try:
-            for attempt in range(1, self.retries + 2):
-                job.attempts = attempt
-                started = time.monotonic()
-                future = self.pool.submit(
-                    (job.key, cell, self.chaos, ordinal, attempt)
-                )
-                try:
-                    _, report, _ = await asyncio.wait_for(
-                        asyncio.wrap_future(future),
-                        timeout=self.deadline,
-                    )
-                except asyncio.TimeoutError:
-                    # wait_for cancelled the wrapper; detach and kill
-                    # exactly the hosting worker (it respawns in place).
-                    await loop.run_in_executor(
-                        None, self.pool.kill_owner, future
-                    )
-                    fatal_seen = True
-                    last_exc = CellTimeoutError(
-                        f"{job.app}/{job.spec.scheduler.name} exceeded "
-                        f"the {self.deadline:.1f}s per-attempt deadline"
-                    )
-                    last_tb = ""
-                    self.metrics.inc(SERVICE_TIER_TIMEOUTS)
-                except WorkerCrashError as exc:
-                    fatal_seen = True
-                    last_exc = exc
-                    last_tb = "".join(traceback_mod.format_exception(
-                        type(exc), exc, exc.__traceback__
-                    ))
-                    self.metrics.inc(SERVICE_TIER_CRASHES)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    last_exc = exc
-                    last_tb = "".join(traceback_mod.format_exception(
-                        type(exc), exc, exc.__traceback__
-                    ))
-                else:
-                    return report
-                elapsed_total += time.monotonic() - started
-                if attempt <= self.retries:
-                    # PR 3 deterministic jitter-free exponential backoff.
-                    await asyncio.sleep(
-                        self.retry_backoff * (2.0 ** (attempt - 1))
-                    )
-            raise TierExecutionFailed(
-                CellFailure(
-                    app=job.app,
-                    label=job.spec.scheduler.name,
-                    key=job.key,
-                    error_type=type(last_exc).__name__,
-                    message=str(last_exc),
-                    traceback=last_tb,
-                    attempts=self.retries + 1,
-                    elapsed=elapsed_total,
-                ),
-                fatal=fatal_seen,
+            await run_cells(
+                self.pool, [record], faults=self.chaos,
+                timeout=self.deadline, charge=charge,
+                finish=lambda record, report, _: reports.append(report),
+                on_dispatch=dispatched,
             )
         finally:
             self.inflight.pop(job.id, None)
+        if not reports:
+            raise TierExecutionFailed(record)
+        return reports[0]
 
 
 __all__ = [

@@ -39,6 +39,7 @@ import pytest
 from repro.errors import CircuitOpenError, ServiceBusyError
 from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan
+from repro.harness.runner import Runner
 from repro.harness.schemes import scheme_def
 from repro.service import server as server_mod
 from repro.service.client import ServiceClient
@@ -467,6 +468,34 @@ def test_hung_job_without_retries_fails_as_a_fatal_timeout(tmp_path):
     assert doc["error"]["attempts"] == 1
     entry = daemon.breaker.entry(doc["key"])
     assert (entry.failures, entry.fatal_failures) == (1, 1)
+
+
+def test_a_timeout_records_the_same_failure_on_every_path(tmp_path):
+    """A pooled runner cell and a tier job that each hang past their
+    deadline are quarantined with one and the same record shape."""
+    spec = _spec()
+    runner = Runner(
+        scale=SCALE, cache=None, verbose=False, retries=0,
+        cell_timeout=CELL_TIMEOUT, keep_going=True,
+        faults=FaultPlan.parse("hang@0:300"),
+    )
+    try:
+        result = runner.run_matrix(
+            ("synthetic",), {spec.scheduler.name: spec.scheduler}
+        )
+    finally:
+        runner.close()
+    (pooled,) = [failure.to_dict() for failure in result.failures]
+    tier = _run_one(
+        _daemon(tmp_path, cell_timeout=CELL_TIMEOUT, retries=0,
+                chaos=FaultPlan.parse("hang@0:300")),
+        spec,
+    )["error"]
+    for failure in (pooled, tier):
+        assert failure["error_type"] == "CellTimeoutError"
+        assert "wall-clock timeout" in failure["message"]
+        assert "CellTimeoutError" in failure["traceback"]
+    assert pooled["message"] == tier["message"]
 
 
 def _failing_simulate(monkeypatch, failures: int) -> None:
