@@ -4,10 +4,12 @@ Every function returns an :class:`ExperimentResult` whose ``text`` is a
 printable table matching the figure's rows/series, and whose ``data``
 holds the raw numbers for the benchmarks and EXPERIMENTS.md.
 
-Figures that read their cells one at a time first run the whole sweep
-through :meth:`~repro.harness.runner.Runner.run_matrix`, so the cells
-are dispatched — and addressed by a chaos plan — the same way at every
-``--jobs``; the per-cell ``runner.run`` calls after it are memo hits.
+Every figure runs its whole sweep through
+:meth:`~repro.harness.runner.Runner.run_matrix`, so the cells are
+dispatched — and addressed by a chaos plan — the same way at every
+``--jobs``, and reads each cell from the
+:class:`~repro.harness.runner.MatrixResult` it returned, where a
+quarantined cell raises :class:`~repro.errors.CellFailedError`.
 """
 
 from __future__ import annotations
@@ -111,15 +113,14 @@ def fig04(
     runner: Runner, apps: Sequence[str] = ALL_APPS
 ) -> ExperimentResult:
     """Normalized activations (a) and IPC (b) for DMS(64..2048)."""
-    runner.run_matrix(apps, _delay_sweep_schemes())
+    reports = runner.run_matrix(apps, _delay_sweep_schemes())
     acts: dict[str, dict[int, float]] = {}
     ipcs: dict[str, dict[int, float]] = {}
     for app in apps:
-        base = runner.run(app, evaluation_schemes()["Baseline"],
-                          label="Baseline")
+        base = reports[app, "Baseline"]
         acts[app], ipcs[app] = {}, {}
         for delay in DELAY_SWEEP:
-            r = runner.run(app, dms_only(delay), label=f"DMS({delay})")
+            r = reports[app, f"DMS({delay})"]
             acts[app][delay] = r.normalized_activations(base)
             ipcs[app][delay] = r.normalized_ipc(base)
     rows_a = [[a] + [acts[a][d] for d in DELAY_SWEEP] for a in apps]
@@ -164,15 +165,14 @@ def fig05(
     runner: Runner, apps: Sequence[str] = ("GEMM", "newtonraph")
 ) -> ExperimentResult:
     """Activation-count shares per RBL bucket as the delay grows."""
-    runner.run_matrix(apps, _delay_sweep_schemes())
+    reports = runner.run_matrix(apps, _delay_sweep_schemes())
     data: dict[str, dict[int, list[float]]] = {}
     for app in apps:
-        data[app] = {}
-        base = runner.run(app, evaluation_schemes()["Baseline"],
-                          label="Baseline")
-        data[app][0] = _bucket_shares(base.rbl_histogram)
+        data[app] = {
+            0: _bucket_shares(reports[app, "Baseline"].rbl_histogram)
+        }
         for delay in DELAY_SWEEP:
-            r = runner.run(app, dms_only(delay), label=f"DMS({delay})")
+            r = reports[app, f"DMS({delay})"]
             data[app][delay] = _bucket_shares(r.rbl_histogram)
     headers = ["Delay"] + [
         f"RBL({lo})" if lo == hi else f"RBL({lo}-{'inf' if hi > 100 else hi})"
@@ -196,11 +196,12 @@ def fig06(
 ) -> ExperimentResult:
     """CDF: x = fraction of read requests (sorted by their activation's
     RBL), y = fraction of total activations."""
-    runner.run_matrix(apps, {"Baseline": evaluation_schemes()["Baseline"]})
+    reports = runner.run_matrix(
+        apps, {"Baseline": evaluation_schemes()["Baseline"]}
+    )
     curves: dict[str, list[tuple[float, float]]] = {}
     for app in apps:
-        base = runner.run(app, evaluation_schemes()["Baseline"],
-                          label="Baseline")
+        base = reports[app, "Baseline"]
         read_only = [
             rec for rec in _all_activations(base) if rec.reads_only
         ]
@@ -256,17 +257,19 @@ def fig07(runner: Runner) -> ExperimentResult:
         "DMS(256)+AMS(8)": dms_plus_ams(256, 8),
     }
     baseline = {"Baseline": evaluation_schemes()["Baseline"]}
-    runner.run_matrix(("LPS",), {**baseline, **lps_cases},
-                      measure_error=True)
-    runner.run_matrix(("SCP",), {**baseline, **scp_cases},
-                      measure_error=True)
+    studies = (("LPS", lps_cases), ("SCP", scp_cases))
+    sweeps = {
+        app: runner.run_matrix(
+            (app,), {**baseline, **cases}, measure_error=True
+        )
+        for app, cases in studies
+    }
     blocks = []
-    for app, cases in (("LPS", lps_cases), ("SCP", scp_cases)):
-        base = runner.run(app, evaluation_schemes()["Baseline"],
-                          label="Baseline")
+    for app, cases in studies:
+        base = sweeps[app][app, "Baseline"]
         rows = []
-        for label, scheme in cases.items():
-            r = runner.run(app, scheme, label=label, measure_error=True)
+        for label in cases:
+            r = sweeps[app][app, label]
             rows.append(
                 [
                     label,
@@ -297,17 +300,15 @@ def fig10(
     apps: Sequence[str] = ("SCP", "MVT", "CONS", "newtonraph"),
 ) -> ExperimentResult:
     """Per-app (BWUTIL, IPC) across delays + Pearson correlation."""
-    runner.run_matrix(apps, _delay_sweep_schemes())
+    schemes = _delay_sweep_schemes()
+    reports = runner.run_matrix(apps, schemes)
     data: dict[str, list[tuple[float, float]]] = {}
     corr: dict[str, float] = {}
     for app in apps:
-        points = []
-        base = runner.run(app, evaluation_schemes()["Baseline"],
-                          label="Baseline")
-        points.append((base.bwutil, base.ipc))
-        for delay in DELAY_SWEEP:
-            r = runner.run(app, dms_only(delay), label=f"DMS({delay})")
-            points.append((r.bwutil, r.ipc))
+        points = [
+            (reports[app, label].bwutil, reports[app, label].ipc)
+            for label in schemes
+        ]
         data[app] = points
         xs = np.array([p[0] for p in points])
         ys = np.array([p[1] for p in points])
@@ -328,16 +329,15 @@ def fig10(
 # ----------------------------------------------------------------------
 def fig11(runner: Runner, app: str = "SCP") -> ExperimentResult:
     """Normalized activations for AMS(Th) as Th_RBL drops 8 -> 1."""
-    runner.run_matrix(
+    reports = runner.run_matrix(
         (app,),
         {"Baseline": evaluation_schemes()["Baseline"],
          **{f"AMS({th})": ams_only(th) for th in range(8, 0, -1)}},
     )
-    base = runner.run(app, evaluation_schemes()["Baseline"],
-                      label="Baseline")
+    base = reports[app, "Baseline"]
     acts, covs = {}, {}
     for th in range(8, 0, -1):
-        r = runner.run(app, ams_only(th), label=f"AMS({th})")
+        r = reports[app, f"AMS({th})"]
         acts[th] = r.normalized_activations(base)
         covs[th] = r.coverage
     hist = base.rbl_histogram
@@ -421,7 +421,7 @@ def hbm_projection(
 ) -> ExperimentResult:
     """Memory-system energy on HBM1/HBM2 for Dyn-DMS + Dyn-AMS."""
     schemes = evaluation_schemes()
-    runner.run_matrix(
+    reports = runner.run_matrix(
         apps,
         {"Baseline": schemes["Baseline"],
          "Dyn-DMS+Dyn-AMS": schemes["Dyn-DMS+Dyn-AMS"]},
@@ -429,9 +429,8 @@ def hbm_projection(
     rows = []
     ratios1, ratios2 = [], []
     for app in apps:
-        base = runner.run(app, schemes["Baseline"], label="Baseline")
-        combo = runner.run(app, schemes["Dyn-DMS+Dyn-AMS"],
-                           label="Dyn-DMS+Dyn-AMS")
+        base = reports[app, "Baseline"]
+        combo = reports[app, "Dyn-DMS+Dyn-AMS"]
         h1 = project_memory_system_energy(
             base.row_energy_nj, combo.row_energy_nj, hbm1_energy()
         )
@@ -597,12 +596,12 @@ def table2(
         classify_thrashing,
     )
 
-    runner.run_matrix(
+    sweep = runner.run_matrix(
         apps,
         {**_delay_sweep_schemes(), "AMS(8)": ams_only(8)},
         measure_error=True,
     )
-    runner.run_matrix(
+    low_th = runner.run_matrix(
         apps, {f"AMS({th})": ams_only(th) for th in (4, 2, 1)}
     )
     rows = []
@@ -610,8 +609,7 @@ def table2(
     total = 0
     measured: dict[str, dict[str, str]] = {}
     for app in apps:
-        base = runner.run(app, evaluation_schemes()["Baseline"],
-                          label="Baseline")
+        base = sweep[app, "Baseline"]
         hist = base.rbl_histogram
         reqs = sum(r * c for r, c in hist.items()) or 1
         low = sum(r * c for r, c in hist.items() if 1 <= r <= 8)
@@ -619,17 +617,16 @@ def table2(
         mtd = 0
         act_red_2048 = 0.0
         for delay in DELAY_SWEEP:
-            r = runner.run(app, dms_only(delay), label=f"DMS({delay})")
+            r = sweep[app, f"DMS({delay})"]
             if r.normalized_ipc(base) >= 0.95:
                 mtd = delay
             if delay == 2048:
                 act_red_2048 = 100 * (1 - r.normalized_activations(base))
-        r8 = runner.run(app, ams_only(8), label="AMS(8)",
-                        measure_error=True)
+        r8 = sweep[app, "AMS(8)"]
         red8 = 100 * (1 - r8.normalized_activations(base))
         best_low = red8
         for th in (4, 2, 1):
-            rt = runner.run(app, ams_only(th), label=f"AMS({th})")
+            rt = low_th[app, f"AMS({th})"]
             best_low = max(
                 best_low, 100 * (1 - rt.normalized_activations(base))
             )
