@@ -972,7 +972,7 @@ def _watch_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     client = ServiceClient(args.host, args.port)
     try:
-        for event, data in client.events(
+        for event, data in client.watch(
             args.job_id, timeout=args.timeout
         ):
             if event == "window" and isinstance(data, dict):

@@ -388,12 +388,14 @@ class ServiceClient:
         mid-run, reconnects with ``Last-Event-ID`` so the iteration
         resumes exactly where it stopped — no duplicated and no lost
         frames (unless the server's bounded ring evicted them, which
-        surfaces as a ``gap`` event).
+        surfaces as a ``gap`` event).  The server closes a stream only
+        after the job's terminal frame, so a stream that ends before it
+        counts as dropped too.
         """
         last_id: Optional[int] = None
+        finished = False
         reconnects = 0
-        while True:
-            finished = False
+        while not finished:
             try:
                 for event, data in self.events(
                     job_id, timeout=timeout, last_event_id=last_id
@@ -404,11 +406,13 @@ class ServiceClient:
                     yield event, data
                     if event in ("done", "failed", "cancelled"):
                         finished = True
-                finished = True
+                if not finished:
+                    raise ConnectionError(
+                        "event stream ended before the job finished"
+                    )
             except (ConnectionError, http.client.HTTPException, OSError):
+                if finished:
+                    return
                 if reconnects >= max_reconnects:
                     raise
                 reconnects += 1
-                continue
-            if finished:
-                return

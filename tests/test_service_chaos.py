@@ -38,6 +38,7 @@ import pytest
 
 from repro.errors import CircuitOpenError, ServiceBusyError
 from repro.harness.cache import ResultCache
+from repro.harness import cli
 from repro.harness.faults import FaultPlan
 from repro.harness.runner import Runner
 from repro.harness.schemes import scheme_def
@@ -283,6 +284,48 @@ def test_sse_reconnect_with_last_event_id_replays_the_tail(tmp_path):
             job["id"], timeout=WAIT, last_event_id=ids[-1]
         ))
         assert nothing == []
+    finally:
+        daemon.stop()
+
+
+@pytest.mark.parametrize("drop", ["reset", "eof"])
+def test_watch_command_survives_a_dropped_stream(
+    tmp_path, monkeypatch, capsys, drop
+):
+    """The first SSE stream of ``repro-harness watch`` dies after two
+    frames, by a connection reset or by an early end; the command
+    reconnects and prints every frame exactly once."""
+    daemon = _daemon(tmp_path)
+    daemon.start_in_thread()
+    try:
+        client = ServiceClient(port=daemon.port)
+        # At scale 1.0 the job is still running at its third frame.
+        job = client.submit(
+            "synthetic", spec=_spec(telemetry=True), scale=1.0, seed=3
+        )
+        argv = ["watch", job["id"], "--port", str(daemon.port)]
+        real_events = ServiceClient.events
+        streams = []
+
+        def events(self, *args, **kwargs):
+            streams.append(kwargs.get("last_event_id"))
+            for n, frame in enumerate(real_events(self, *args, **kwargs)):
+                if len(streams) == 1 and n == 2:
+                    if drop == "reset":
+                        raise ConnectionResetError("stream dropped")
+                    return
+                yield frame
+
+        monkeypatch.setattr(ServiceClient, "events", events)
+        assert cli.main(argv) == cli.EXIT_OK
+        watched = capsys.readouterr().out
+        assert len(streams) == 2 and streams[1] is not None
+        # The job's event ring now holds its whole history: a second,
+        # undisturbed watch replays it from the first frame.
+        monkeypatch.setattr(ServiceClient, "events", real_events)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert watched == capsys.readouterr().out
+        assert watched.splitlines()[-1].startswith("done: ")
     finally:
         daemon.stop()
 
