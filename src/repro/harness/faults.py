@@ -321,13 +321,12 @@ class CellAttempts:
 
     def failure(self) -> CellFailure:
         """The quarantine record of the attempts so far."""
-        exc = self.error
         return CellFailure(
             app=self.cell.app,
             label=self.label,
             key=self.key,
-            error_type=type(exc).__name__ if exc is not None else "Unknown",
-            message=str(exc) if exc is not None else "",
+            error_type=type(self.error).__name__,
+            message=str(self.error),
             traceback=self.traceback,
             attempts=self.attempts,
             elapsed=self.elapsed,

@@ -577,7 +577,7 @@ async def run_cells(
     sent = time.monotonic()
     first = submit(cells) if slots is None else None
 
-    async def attempts(n: int, record: "CellAttempts") -> None:
+    async def supervise(n: int, record: "CellAttempts") -> None:
         future = first[n] if first is not None else None
         started = sent
         while True:
@@ -615,7 +615,7 @@ async def run_cells(
             future = None
 
     await asyncio.gather(
-        *(attempts(n, record) for n, record in enumerate(cells))
+        *(supervise(n, record) for n, record in enumerate(cells))
     )
 
 
