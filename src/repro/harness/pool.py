@@ -36,7 +36,6 @@ runner's ``--jobs N`` sweeps and the service tier's jobs go through it.
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 import threading
 import time
@@ -561,6 +560,10 @@ async def run_cells(
     :class:`~repro.errors.WorkerCrashError` attempts, and its slot
     respawns inside the pool.
     """
+    # Imported here, not with the module: asyncio loads ssl, which costs
+    # a serial sweep (which never runs this) ~3 MB and ~45 ms of start-up.
+    import asyncio
+
     loop = asyncio.get_running_loop()
     slots = asyncio.Semaphore(pool.size) if timeout is not None else None
 

@@ -63,7 +63,6 @@ single crashed or hung worker must not throw away a whole sweep):
 
 from __future__ import annotations
 
-import asyncio
 import cProfile
 import io
 import pstats
@@ -620,6 +619,8 @@ class Runner:
         Failed attempts are charged through :meth:`_charge`, successes
         through :meth:`_finish`, each as it arrives.
         """
+        import asyncio  # not at module level: see run_cells
+
         pool = self._ensure_pool(max(1, min(jobs, len(records))))
         asyncio.run(run_cells(
             pool, records, faults=self.faults, timeout=self.cell_timeout,

@@ -15,8 +15,9 @@ threaded into the tier's worker processes:
    dispatch) trips the breaker within ``threshold`` submissions; the
    next submission is a structured 422 that never reaches the tier.
 4. **Crash-safe SSE** — a reconnect with ``Last-Event-ID`` replays
-   exactly the missed events, and a reconnect past the bounded ring's
-   tail gets an explicit ``gap`` event.
+   exactly the missed events, a reconnect past the bounded ring's
+   tail gets an explicit ``gap`` event, and ``repro-harness watch``
+   reconnects after a dropped stream.
 5. **Graceful degradation** — with the tier down, exact cache hits
    serve normally, a family-mate serves its last completed report
    labeled ``degraded``, and cold specs get an honest 503.
@@ -37,8 +38,8 @@ import time
 import pytest
 
 from repro.errors import CircuitOpenError, ServiceBusyError
-from repro.harness.cache import ResultCache
 from repro.harness import cli
+from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan
 from repro.harness.runner import Runner
 from repro.harness.schemes import scheme_def
