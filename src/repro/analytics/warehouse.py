@@ -5,10 +5,11 @@ excellent *store* — content-addressed, atomic, self-healing — and a
 terrible *database*: its keys are one-way hashes, so answering "what is
 the mean row-energy saving of Dyn-DMS on gddr5x across seeds?" would
 mean re-deriving every key from every possible spec. The warehouse
-fixes that by walking the cache once (via ``ResultCache.iter_blobs``)
+fixes that by walking the cache once (via ``ResultCache.iter_reports``)
 and flattening each blob into one sqlite row per (content key, seed)
 with the energy / error / FIT / tenant columns queries actually filter
-on, plus the full report JSON for anything they don't.
+on, plus the full report JSON, as the cache stored it, for anything
+they don't.
 
 Alongside cache blobs it ingests two other result streams:
 
@@ -135,9 +136,13 @@ def resolve_warehouse_path(path: str | Path | None = None) -> Path:
 
 
 def _flatten(
-    key: str, blob: dict, mtime: float, now: float
+    key: str, blob: dict, report_bytes: bytes, mtime: float, now: float
 ) -> tuple[Optional[dict], list[dict]]:
-    """One cache blob -> (experiments row, tenant rows); None if broken."""
+    """One cache blob -> (experiments row, tenant rows); None if broken.
+
+    The columns come from the decoded blob; the ``report`` column is the
+    report's bytes as the cache stored them.
+    """
     from repro.sim.report import SimReport
 
     try:
@@ -188,7 +193,7 @@ def _flatten(
         "total_instructions": report.total_instructions,
         "mtime": mtime,
         "ingested_at": now,
-        "report": json.dumps(blob["report"], separators=(",", ":")),
+        "report": report_bytes.decode("utf-8"),
     }
     tenant_rows: list[dict] = []
     if report.tenants is not None:
@@ -267,16 +272,16 @@ class Warehouse:
     def ingest_cache(self, cache: "ResultCache") -> int:
         """Walk ``cache`` and upsert one row per blob; returns the count.
 
-        Shares the lazy ``iter_blobs`` traversal with
-        ``cache info --json``, so the two views of the cache can never
-        drift. Blobs without a ``meta`` sidecar (stored before the
+        Shares the lazy cache walk with ``cache info --json``, so the
+        two views of the cache can never drift, and reads each blob
+        once. Blobs without a ``meta`` sidecar (stored before the
         warehouse existed) ingest with NULL seed/scale/device — still
         queryable by app and scheme.
         """
         now = time.time()
         count = 0
-        for key, blob, mtime, _size in cache.iter_blobs():
-            row, tenant_rows = _flatten(key, blob, mtime, now)
+        for key, blob, report_bytes, mtime in cache.iter_reports():
+            row, tenant_rows = _flatten(key, blob, report_bytes, mtime, now)
             if row is None:
                 continue
             columns = ", ".join(row)

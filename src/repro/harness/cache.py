@@ -3,9 +3,19 @@
 Every (workload, scale, seed, scheduler, GPU config, measure_error) cell
 maps to a deterministic cache key: the SHA-256 of a canonical JSON
 rendering of *all* configuration contents plus :data:`CACHE_FORMAT_VERSION`.
-Results are stored as JSON blobs (``SimReport.to_dict``) under
-``.repro-cache/<first-two-hex>/<key>.json``; a hit deserializes the report
-and skips simulation entirely — across processes and sessions.
+Results are stored as JSON blobs under
+``.repro-cache/<first-two-hex>/<key>.json``; a hit skips simulation
+entirely — across processes and sessions.
+
+A blob is one JSON object: ``format_version``, ``workload``, ``scheme``,
+the optional ``meta`` sidecar, ``report_sha256`` and, last, ``report``.
+The ``report`` member is written once as the compact JSON bytes of
+:func:`encode_report`, and ``report_sha256`` is the SHA-256 of exactly
+those bytes, so :meth:`ResultCache.load_bytes` can hand the report to a
+response or a warehouse row as stored, checked but never decoded. A
+blob whose bytes do not match their digest is quarantined; a blob
+without the digest (written before it existed) is decoded as a whole.
+Only this module knows the layout.
 
 Invalidation is structural: changing any field of
 :class:`~repro.config.scheduler.SchedulerConfig` or
@@ -57,6 +67,47 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 _ENV_DISABLE = "REPRO_NO_CACHE"
 _ENV_DIR = "REPRO_CACHE_DIR"
+
+#: The bytes around a blob's digest: ``,"report_sha256":"<64 hex>"``
+#: then ``,"report":<report bytes>}`` closes the blob.
+_DIGEST_OPEN = b',"report_sha256":"'
+_REPORT_OPEN = b'","report":'
+_DIGEST_HEX = 64
+
+
+def encode_report(report: SimReport) -> bytes:
+    """The compact JSON bytes of ``report``: the one encoding a blob
+    stores, the service serves, and the warehouse keeps."""
+    return json.dumps(
+        report.to_dict(), separators=(",", ":")
+    ).encode("utf-8")
+
+
+def _split_blob(raw: bytes) -> tuple[dict, Optional[bytes]]:
+    """``(head, report bytes)`` of a blob with a digest, ``(blob,
+    None)`` of one without; raises ``ValueError`` for a damaged blob.
+
+    The head is every member but ``report``. The report bytes are
+    returned only once they match ``report_sha256``.
+    """
+    at = raw.find(_DIGEST_OPEN)
+    if at < 0:
+        blob = json.loads(raw)
+        if not isinstance(blob, dict):
+            raise ValueError("cache blob is not a JSON object")
+        return blob, None
+    start = at + len(_DIGEST_OPEN) + _DIGEST_HEX
+    digest = raw[at + len(_DIGEST_OPEN):start]
+    if raw[start:start + len(_REPORT_OPEN)] != _REPORT_OPEN \
+            or not raw.endswith(b"}"):
+        raise ValueError("cache blob is torn")
+    data = raw[start + len(_REPORT_OPEN):-1]
+    if hashlib.sha256(data).hexdigest().encode("ascii") != digest:
+        raise ValueError("cache blob report does not match its digest")
+    head = json.loads(raw[:start] + b'"}')
+    if not isinstance(head, dict):
+        raise ValueError("cache blob head is not a JSON object")
+    return head, data
 
 
 def cache_key(
@@ -146,7 +197,8 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
-        #: Corrupt blobs discarded by :meth:`load` (self-healing events).
+        #: Corrupt blobs discarded by lookups and walks (self-healing
+        #: events).
         self.quarantined = 0
 
     # ------------------------------------------------------------------
@@ -154,7 +206,7 @@ class ResultCache:
         """Blob path for a cache key (two-level fan-out by key prefix)."""
         return self.root / key[:2] / f"{key}.json"
 
-    def _discard_corrupt(self, path: Path) -> None:
+    def _quarantine(self, path: Path) -> None:
         """Unlink a malformed blob so it cannot poison future runs.
 
         A corrupt entry (torn write survived a crash, disk error, or an
@@ -167,43 +219,80 @@ class ResultCache:
         except OSError:
             pass
         self.quarantined += 1
-        self.misses += 1
+
+    def _read(self, path: Path) -> Optional[tuple[dict, Optional[bytes]]]:
+        """The blob at ``path`` as :func:`_split_blob` returns it; None
+        when it is missing, damaged (then quarantined) or of another
+        format version (then kept: healthy, just written by a different
+        build)."""
+        try:
+            blob, data = _split_blob(path.read_bytes())
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            self._quarantine(path)
+            return None
+        if blob.get("format_version") != CACHE_FORMAT_VERSION:
+            return None
+        return blob, data
+
+    def _decode(
+        self, key: str, blob: dict, data: Optional[bytes]
+    ) -> Optional[SimReport]:
+        """The report of a read blob; None, and the blob quarantined,
+        when :meth:`SimReport.from_dict` rejects it."""
+        try:
+            return SimReport.from_dict(
+                blob["report"] if data is None else json.loads(data)
+            )
+        except (KeyError, TypeError, ValueError, AttributeError):
+            self._quarantine(self.path_for(key))
+            return None
+
+    def _count(self, result) -> None:
+        """Count one lookup as a hit or, when it found nothing, a miss."""
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
 
     def load(self, key: str) -> Optional[SimReport]:
         """Return the cached report for ``key``, or None on a miss.
 
         Malformed blobs self-heal: undecodable JSON, non-dict documents,
-        a missing ``report`` section, or payloads
-        :meth:`SimReport.from_dict` rejects are unlinked and counted in
-        :attr:`quarantined`, then reported as a plain miss. A
-        format-version mismatch is a miss but is *kept* on disk — the
-        blob is healthy, just written by a different build.
+        report bytes that do not match their digest, a missing
+        ``report`` section, or payloads :meth:`SimReport.from_dict`
+        rejects are unlinked and counted in :attr:`quarantined`, then
+        reported as a plain miss. A format-version mismatch is a miss
+        but is *kept* on disk — the blob is healthy, just written by a
+        different build.
         """
         if not self.enabled:
             return None
-        path = self.path_for(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                blob = json.load(fh)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            self._discard_corrupt(path)
-            return None
-        if not isinstance(blob, dict):
-            self._discard_corrupt(path)
-            return None
-        if blob.get("format_version") != CACHE_FORMAT_VERSION:
-            self.misses += 1
-            return None
-        try:
-            report = SimReport.from_dict(blob["report"])
-        except (KeyError, TypeError, ValueError, AttributeError):
-            self._discard_corrupt(path)
-            return None
-        self.hits += 1
+        found = self._read(self.path_for(key))
+        report = None if found is None else self._decode(key, *found)
+        self._count(report)
         return report
+
+    def load_bytes(self, key: str) -> Optional[bytes]:
+        """The report bytes cached for ``key`` (see
+        :func:`encode_report`), or None on a miss.
+
+        A blob with a digest is read and checked, never decoded. A blob
+        without one takes the decode path of :meth:`load` and is
+        re-encoded. Quarantine and miss rules are those of :meth:`load`.
+        """
+        if not self.enabled:
+            return None
+        found = self._read(self.path_for(key))
+        data = None
+        if found is not None:
+            blob, data = found
+            if data is None:
+                report = self._decode(key, blob, None)
+                data = None if report is None else encode_report(report)
+        self._count(data)
+        return data
 
     def store(
         self,
@@ -211,11 +300,14 @@ class ResultCache:
         report: SimReport,
         *,
         meta: Optional[dict] = None,
+        encoded: Optional[bytes] = None,
     ) -> Optional[Path]:
         """Persist ``report`` under ``key``; returns the blob path.
 
         The blob is written to a temp file and atomically renamed so a
-        concurrent reader never sees a torn write.
+        concurrent reader never sees a torn write. ``encoded`` is
+        ``encode_report(report)`` when the caller already holds it; the
+        report is encoded once either way.
 
         ``meta`` is an optional JSON-serializable sidecar recorded next
         to the report (``{"app", "scale", "seed", "spec"}`` from the
@@ -226,22 +318,29 @@ class ResultCache:
         """
         if not self.enabled:
             return None
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        blob = {
+        data = encode_report(report) if encoded is None else encoded
+        head = {
             "format_version": CACHE_FORMAT_VERSION,
             "workload": report.workload,
             "scheme": report.scheme,
-            "report": report.to_dict(),
         }
         if meta is not None:
-            blob["meta"] = meta
+            head["meta"] = meta
+        head["report_sha256"] = hashlib.sha256(data).hexdigest()
+        path = self.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=".json"
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(blob, fh, separators=(",", ":"))
+            with os.fdopen(fd, "wb") as fh:
+                # Written in pieces: the head without its closing brace,
+                # then the report bytes as the last member.
+                fh.write(json.dumps(head, separators=(",", ":"))
+                         .encode("utf-8")[:-1])
+                fh.write(b',"report":')
+                fh.write(data)
+                fh.write(b"}")
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -276,41 +375,53 @@ class ResultCache:
                 continue
         return sorted(found)
 
+    def _walk(self):
+        """Yield ``(key, blob, report bytes, mtime, size)`` per healthy
+        current-format blob, reading each once; ``report bytes`` is None
+        for a blob without a digest. Damaged blobs are quarantined and
+        version mismatches skipped, as in :meth:`load`."""
+        for path in self.entries():
+            found = self._read(path)
+            if found is None:
+                continue
+            blob, data = found
+            try:
+                stat = path.stat()
+                if data is not None:
+                    blob["report"] = json.loads(data)
+            except FileNotFoundError:
+                continue  # concurrently cleared
+            except (OSError, ValueError):
+                self._quarantine(path)
+                continue
+            yield path.stem, blob, data, stat.st_mtime, stat.st_size
+
     def iter_blobs(self):
         """Lazily yield ``(key, blob_dict, mtime, size_bytes)`` tuples.
 
         One blob is resident at a time, so a multi-thousand-entry cache
         can be traversed in constant memory — this is the shared walk
-        under both :meth:`iter_entries` and the warehouse ingest.
+        under :meth:`iter_entries` and ``cache info --json``.
         Corrupt blobs are quarantined exactly as in :meth:`load`;
         format-version mismatches are skipped but kept on disk (healthy,
         just written by a different build). Session hit/miss counters
         are *not* touched: a traversal is not a lookup.
         """
-        for path in self.entries():
-            try:
-                stat = path.stat()
-                with open(path, "r", encoding="utf-8") as fh:
-                    blob = json.load(fh)
-            except FileNotFoundError:
-                continue  # concurrently cleared
-            except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                self.quarantined += 1
-                continue
-            if not isinstance(blob, dict):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                self.quarantined += 1
-                continue
-            if blob.get("format_version") != CACHE_FORMAT_VERSION:
-                continue
-            yield path.stem, blob, stat.st_mtime, stat.st_size
+        for key, blob, _data, mtime, size in self._walk():
+            yield key, blob, mtime, size
+
+    def iter_reports(self):
+        """Lazily yield ``(key, blob_dict, report_bytes, mtime)`` tuples:
+        the walk of :meth:`iter_blobs` plus each report's compact JSON
+        bytes as stored, for the warehouse ingest. A blob without a
+        digest stores no such bytes, so its report section is encoded
+        here."""
+        for key, blob, data, mtime, _size in self._walk():
+            if data is None:
+                data = json.dumps(
+                    blob.get("report"), separators=(",", ":")
+                ).encode("utf-8")
+            yield key, blob, data, mtime
 
     def iter_entries(self):
         """Lazily yield ``(content_key, SimReport, mtime)`` tuples.
@@ -319,16 +430,9 @@ class ResultCache:
         quarantined (unlinked + counted), matching :meth:`load`.
         """
         for key, blob, mtime, _size in self.iter_blobs():
-            try:
-                report = SimReport.from_dict(blob["report"])
-            except (KeyError, TypeError, ValueError, AttributeError):
-                try:
-                    self.path_for(key).unlink()
-                except OSError:
-                    pass
-                self.quarantined += 1
-                continue
-            yield key, report, mtime
+            report = self._decode(key, blob, None)
+            if report is not None:
+                yield key, report, mtime
 
     def size_bytes(self) -> int:
         """Total bytes occupied by cached blobs.

@@ -38,7 +38,6 @@ from repro.harness.runner import CellSpec
 from repro.sim.spec import SimSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.sim.report import SimReport
     from repro.telemetry.hub import MetricsHub
     from repro.telemetry.series import WindowSample
 
@@ -154,8 +153,11 @@ class Job:
     degraded: bool = False
     #: Crash-safe SSE event history (lazily built by the first watcher).
     ring: Optional[Any] = None
-    #: The finished report (in-memory only; persisted via the cache).
-    report: Optional["SimReport"] = None
+    #: The finished report's bytes (``repro.harness.cache.encode_report``)
+    #: held by a job the daemon simulated, its followers, and a degraded
+    #: job served a relative's report. A job answered from the cache
+    #: entry of its own key holds none: its report is re-read by key.
+    result: Optional[bytes] = None
     #: Concurrent identical submissions riding on this job's execution.
     followers: list["Job"] = field(default_factory=list)
     #: Live telemetry hub of the in-flight simulation (streaming jobs).
@@ -265,23 +267,22 @@ class Job:
 
     # ------------------------------------------------------------------
     def window_samples(self) -> list["WindowSample"]:
-        """Every telemetry window observable for this job *right now*.
+        """Every telemetry window the in-flight simulation has published.
 
-        While the simulation is in flight this reads the live sampler
-        list the :class:`~repro.telemetry.sampler.WindowSeries` publishes
-        on its hub (appends are GIL-atomic, so a snapshot from another
-        thread is safe); after completion it reads the report timeline.
+        Reads the live sampler list the
+        :class:`~repro.telemetry.sampler.WindowSeries` publishes on its
+        hub (appends are GIL-atomic, so a snapshot from another thread
+        is safe). A finished job's windows are in its report's timeline.
         """
-        if self.report is not None and self.report.timeline is not None:
-            return list(self.report.timeline.samples)
         hub = self.live_hub
         live = getattr(hub, "live_samples", None) if hub is not None else None
         return list(live) if live else []
 
     # ------------------------------------------------------------------
-    def to_public_dict(self, *, include_result: bool = True) -> dict:
-        """The JSON document ``GET /v1/jobs/<id>`` serves."""
-        doc = {
+    def to_public_dict(self) -> dict:
+        """The JSON document ``GET /v1/jobs/<id>`` serves, less the
+        ``result`` the daemon splices in from the report's bytes."""
+        return {
             "id": self.id,
             "app": self.app,
             "scale": self.scale,
@@ -300,10 +301,6 @@ class Job:
             "error": self.error,
             "spec": self.spec.to_dict(),
         }
-        if include_result and self.state is JobState.DONE \
-                and self.report is not None:
-            doc["result"] = self.report.to_dict()
-        return doc
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,9 @@ Admission order for every submission (:meth:`JobQueue.admit`):
 
 1. **Cache first** — the job's content key is probed against the shared
    :class:`~repro.harness.cache.ResultCache`; a warm hit completes the
-   job immediately without ever touching the worker pool.
+   job immediately without ever touching the worker pool. The probe
+   reads the report's stored bytes and checks their digest inline (a
+   fraction of a millisecond) and never decodes them.
 2. **Coalesce** — if an identical spec (same content key) is already
    queued or running, the new job attaches to it as a *follower*: one
    simulation, N answers. This is what makes a thundering herd of
@@ -98,17 +100,19 @@ class JobQueue:
     async def admit(self, job: Job) -> str:
         """Admit a submission; returns one of the ``ADMIT_*`` outcomes.
 
-        Cache-hit jobs come back already ``done`` (report attached);
+        Cache-hit jobs come back already ``done`` with the report's
+        bytes in :attr:`~repro.service.jobs.Job.result`, for the
+        response to splice in;
         coalesced jobs stay ``queued`` with
         :attr:`~repro.service.jobs.Job.coalesced_into` set; otherwise the
         job enters the heap. Raises :class:`QueueFullError` with a
         ``retry_after`` hint when the bounded heap is full.
         """
         if self.cache is not None:
-            report = self.cache.load(job.key)
-            if report is not None:
+            result = self.cache.load_bytes(job.key)
+            if result is not None:
                 job.cached = True
-                job.report = report
+                job.result = result
                 job.transition(JobState.DONE)
                 self.metrics.inc(SERVICE_CACHE_HITS)
                 return ADMIT_CACHED

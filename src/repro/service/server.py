@@ -56,6 +56,12 @@ Every submission/transition is journalled
 the journal, keeps terminal jobs addressable (results re-served from
 the cache by content key), and re-queues interrupted work.
 
+A report crosses the daemon as one encoding, the compact JSON bytes of
+:func:`~repro.harness.cache.encode_report`: the cache stores them, a
+hit reads them back digest-checked, and :meth:`ServiceDaemon._respond`
+splices them into the job document as ``"result"``. The daemon decodes
+a report only for an SSE watcher's terminal frame.
+
 The HTTP layer is deliberately minimal (HTTP/1.1, ``Connection:
 close``, JSON bodies) — no framework, no new dependencies.
 """
@@ -80,7 +86,7 @@ from repro.analytics.warehouse import (
 )
 from repro.dram.request import reset_request_ids
 from repro.errors import ConfigError, JobStateError
-from repro.harness.cache import ResultCache
+from repro.harness.cache import ResultCache, encode_report
 from repro.harness.faults import CellAttempts, FaultPlan
 from repro.harness.schemes import WINDOW_CYCLES
 from repro.service.breaker import CircuitBreaker, RejectedByBreaker
@@ -122,6 +128,11 @@ _MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Seconds an SSE watcher sleeps between polls of its job's event ring.
 SSE_POLL_SECONDS = 0.05
+
+#: Holds a job document's ``"result"`` place while the document is
+#: encoded; :meth:`ServiceDaemon._respond` swaps the report's bytes in.
+_RESULT_SLOT = "\x00result\x00"
+_RESULT_SLOT_JSON = json.dumps(_RESULT_SLOT).encode("utf-8")
 
 _REASONS = {
     200: "OK",
@@ -328,7 +339,9 @@ class ServiceDaemon:
                 continue
             if outcome == ADMIT_CACHED:
                 # The interrupted run's cell finished in some other
-                # daemon/CLI process meanwhile; serve it as done.
+                # daemon/CLI process meanwhile; serve it as done, its
+                # report re-read by key like every cache hit's.
+                job.result = None
                 self.journal.record_state(job)
                 self.hub.inc(SERVICE_COMPLETED)
             else:
@@ -388,18 +401,19 @@ class ServiceDaemon:
         self,
         job: Job,
         *,
-        report: Optional[SimReport],
+        result: Optional[bytes],
         error: Optional[dict],
     ) -> None:
-        """Resolve a primary and all its followers to a terminal state."""
+        """Resolve a primary and all its followers to a terminal state;
+        each member holds the one ``result`` bytes object."""
         members = [job, *job.followers]
         job.followers = []
         for member in members:
             if member.terminal:
                 continue
-            member.report = report
+            member.result = result
             member.error = error
-            if report is not None:
+            if result is not None:
                 self._set_state(member, JobState.DONE)
                 self.hub.inc(SERVICE_COMPLETED)
             else:
@@ -439,7 +453,7 @@ class ServiceDaemon:
                 f"circuit OPEN for key {job.key[:16]}… after "
                 f"{self.breaker.threshold} consecutive failure(s)"
             )
-        self._finish_job(job, report=None, error=error)
+        self._finish_job(job, result=None, error=error)
 
     async def _worker(self) -> None:
         while True:
@@ -451,12 +465,12 @@ class ServiceDaemon:
             started = time.monotonic()
             try:
                 if job.spec.telemetry:
-                    report = await self._loop.run_in_executor(
+                    result = await self._loop.run_in_executor(
                         self._executor, self._execute_streaming, job
                     )
                 else:
                     report = await self.tier.execute(job)
-                    await self._loop.run_in_executor(
+                    result = await self._loop.run_in_executor(
                         self._executor, self._store_result, job, report
                     )
             except TierExecutionFailed as exc:
@@ -479,25 +493,31 @@ class ServiceDaemon:
                 )
             else:
                 self._note_success(job)
-                self._finish_job(job, report=report, error=None)
+                self._finish_job(job, result=result, error=None)
             finally:
                 self.queue.note_duration(time.monotonic() - started)
                 self._running.pop(job.id, None)
                 self.queue.release(job)
 
-    def _store_result(self, job: Job, report: SimReport) -> None:
-        """Persist a tier-produced report (the tier's workers compute;
-        the daemon owns the cache) — runs on an executor thread."""
+    def _store_result(self, job: Job, report: SimReport) -> bytes:
+        """Encode a finished report once and persist those bytes (the
+        workers compute; the daemon owns the cache) — runs on an
+        executor thread. Returns the bytes the job keeps."""
         self.hub.inc(SERVICE_SIMULATIONS)
+        result = encode_report(report)
         if self.cache.enabled:
-            self.cache.store(job.key, report, meta=job.cell.cache_meta)
+            self.cache.store(
+                job.key, report, meta=job.cell.cache_meta, encoded=result
+            )
+        return result
 
     # ------------------------------------------------------------------
     # Telemetry jobs (run in executor threads)
     # ------------------------------------------------------------------
-    def _execute_streaming(self, job: Job) -> SimReport:
+    def _execute_streaming(self, job: Job) -> bytes:
         """In-process execution with a live telemetry hub attached, so
-        the SSE streamer can watch windows arrive mid-run. Failed
+        the SSE streamer can watch windows arrive mid-run; returns the
+        report's bytes, encoded once and stored as they are. Failed
         attempts are charged to the same :class:`CellAttempts` record
         as on the worker tier, but there is no preemptive
         ``cell_timeout`` (an in-thread simulation cannot be killed; use
@@ -522,12 +542,7 @@ class ServiceDaemon:
                     raise TierExecutionFailed(record) from exc
                 time.sleep(record.delay())
             else:
-                self.hub.inc(SERVICE_SIMULATIONS)
-                if self.cache.enabled:
-                    self.cache.store(
-                        job.key, report, meta=cell.cache_meta
-                    )
-                return report
+                return self._store_result(job, report)
 
     # ------------------------------------------------------------------
     # HTTP layer
@@ -612,18 +627,33 @@ class ServiceDaemon:
         payload: dict,
         *,
         headers: Optional[dict[str, str]] = None,
+        result: Optional[bytes] = None,
     ) -> None:
+        """Write one JSON response.
+
+        ``result`` is a report's stored bytes. They become the last
+        member, ``"result"``, of the job document (``payload`` itself or
+        its ``"job"``), spliced in as they are: the report is never
+        decoded or re-encoded on its way out.
+        """
+        if result is not None:
+            payload.get("job", payload)["result"] = _RESULT_SLOT
         body = json.dumps(payload).encode("utf-8")
+        if result is None:
+            parts = [body]
+        else:
+            before, _, after = body.rpartition(_RESULT_SLOT_JSON)
+            parts = [before, result, after]
         head = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
             "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
+            f"Content-Length: {sum(map(len, parts))}",
             "Connection: close",
         ]
         for name, value in (headers or {}).items():
             head.append(f"{name}: {value}")
-        writer.write(
-            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+        writer.writelines(
+            [("\r\n".join(head) + "\r\n\r\n").encode("latin-1"), *parts]
         )
 
     async def _route(
@@ -905,17 +935,22 @@ class ServiceDaemon:
         self.hub.inc(SERVICE_SUBMITTED)
         self.jobs[job.id] = job
         self.journal.record_submit(job)
+        result = None
         if outcome == ADMIT_CACHED:
             self.journal.record_state(job)
             self.hub.inc(SERVICE_COMPLETED)
             self._note_success(job)
             status = 200
+            # A hit keeps no bytes once answered: later reads of the
+            # job go back to the cache by key.
+            result, job.result = job.result, None
         else:
             status = 202
         self._respond(
             writer,
             status,
             {"outcome": outcome, "job": job.to_public_dict()},
+            result=result,
         )
 
     def _should_shed(self) -> bool:
@@ -938,14 +973,15 @@ class ServiceDaemon:
     ) -> None:
         """Serve what we can with the execution tier down: exact cache
         hits normally, a *stale* relative's report with a degraded
-        label, else an honest 503 with a retry hint."""
-        report = self.cache.load(job.key) if self.cache.enabled else None
+        label, else an honest 503 with a retry hint. A stale job keeps
+        its relative's bytes, which its own key cannot re-read."""
+        result = self.cache.load_bytes(job.key)
         stale_key = None
-        if report is None:
+        if result is None:
             stale_key = self._family_index.get(self._family_of(job))
-            if stale_key is not None and self.cache.enabled:
-                report = self.cache.load(stale_key)
-        if report is None:
+            if stale_key is not None:
+                result = self.cache.load_bytes(stale_key)
+        if result is None:
             self._respond(
                 writer,
                 503,
@@ -960,10 +996,11 @@ class ServiceDaemon:
         self.hub.inc(SERVICE_SUBMITTED)
         self.jobs[job.id] = job
         self.journal.record_submit(job)
-        job.report = report
         job.cached = True
         degraded = stale_key is not None
         job.degraded = degraded
+        if degraded:
+            job.result = result
         job.transition(JobState.DONE)
         self.journal.record_state(job)
         self.hub.inc(SERVICE_COMPLETED)
@@ -979,16 +1016,24 @@ class ServiceDaemon:
                 "job": job.to_public_dict(),
             },
             headers=headers,
+            result=result,
         )
 
-    def _resolve_result(self, job: Job) -> None:
-        """Attach the report of a DONE-but-unloaded job (post-restart)."""
-        if (
-            job.state is JobState.DONE
-            and job.report is None
-            and self.cache.enabled
-        ):
-            job.report = self.cache.load(job.key)
+    def _result_of(self, job: Job) -> Optional[bytes]:
+        """A done job's report bytes: the ones it holds, else re-read
+        by key (cache hits, jobs recovered from the journal)."""
+        if job.state is not JobState.DONE:
+            return None
+        if job.result is not None:
+            return job.result
+        return self.cache.load_bytes(job.key)
+
+    def _report_of(self, job: Job) -> Optional[SimReport]:
+        """A done job's decoded report, for an SSE watcher."""
+        result = self._result_of(job)
+        if result is None:
+            return None
+        return SimReport.from_dict(json.loads(result))
 
     def _handle_status(
         self, job_id: str, writer: asyncio.StreamWriter
@@ -999,8 +1044,9 @@ class ServiceDaemon:
                 writer, 404, {"error": f"unknown job {job_id!r}"}
             )
             return
-        self._resolve_result(job)
-        self._respond(writer, 200, job.to_public_dict())
+        self._respond(
+            writer, 200, job.to_public_dict(), result=self._result_of(job)
+        )
 
     async def _handle_cancel(
         self, job_id: str, writer: asyncio.StreamWriter
@@ -1030,9 +1076,7 @@ class ServiceDaemon:
         self.breaker.abandon_trial(job.key)
         if promoted is not None:
             self.journal.record_state(promoted)
-        self._respond(
-            writer, 200, job.to_public_dict(include_result=False)
-        )
+        self._respond(writer, 200, job.to_public_dict())
 
     # ------------------------------------------------------------------
     # Server-sent events (crash-safe fan-out, see repro.service.stream)
@@ -1069,10 +1113,10 @@ class ServiceDaemon:
         await writer.drain()
         gap_reported = False
         while True:
-            execution = self._execution_of(job)
-            if job.state is JobState.DONE and job.report is None:
-                self._resolve_result(job)
-            ring.sync(job, execution)
+            ring.sync(
+                job, self._execution_of(job),
+                load_report=lambda: self._report_of(job),
+            )
             if last_seen and not gap_reported:
                 gap_reported = True
                 lost = ring.lost_before(last_seen)

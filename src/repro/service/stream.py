@@ -30,10 +30,11 @@ the live telemetry sample list, which the hub documents as snapshot-safe.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.service.jobs import Job
+    from repro.sim.report import SimReport
 
 #: Default ring capacity (events, not bytes). 512 events comfortably
 #: hold the telemetry of a full streamed run at the default window.
@@ -88,7 +89,12 @@ class EventRing:
         return max(0, self.first_id - last_seen - 1)
 
     # ------------------------------------------------------------------
-    def sync(self, job: "Job", execution: Optional["Job"] = None) -> None:
+    def sync(
+        self,
+        job: "Job",
+        execution: Optional["Job"] = None,
+        load_report: Optional[Callable[[], Optional["SimReport"]]] = None,
+    ) -> None:
         """Publish whatever the job has produced since the last sync.
 
         Idempotent and shared: every watcher calls this from its poll
@@ -102,8 +108,22 @@ class EventRing:
         ``job`` is a coalesced follower — window samples stream from the
         primary's live hub while state/terminal events stay the
         follower's own.
+
+        ``load_report`` decodes the finished job's report. It is called
+        once, when the terminal event is published: the report's
+        timeline completes the windows and its figures fill the
+        terminal summary. A ring whose terminal event is out publishes
+        nothing more.
         """
-        samples = (execution or job).window_samples()
+        if self.terminal_published:
+            return
+        report = None
+        if job.terminal and load_report is not None:
+            report = load_report()
+        if report is not None and report.timeline is not None:
+            samples = report.timeline.samples
+        else:
+            samples = (execution or job).window_samples()
         for sample in samples[self._windows_published:]:
             self.append("window", sample.to_dict())
         self._windows_published = max(
@@ -112,10 +132,8 @@ class EventRing:
         state = job.state.value
         if state != self._last_state:
             self._last_state = state
-            self.append(
-                "state", job.to_public_dict(include_result=False)
-            )
-        if job.terminal and not self.terminal_published:
+            self.append("state", job.to_public_dict())
+        if job.terminal:
             self.terminal_published = True
             summary: dict = {
                 "id": job.id,
@@ -125,13 +143,13 @@ class EventRing:
                 "windows": self._windows_published,
                 "error": job.error,
             }
-            if job.report is not None:
+            if report is not None:
                 summary["metrics"] = {
-                    "ipc": job.report.ipc,
-                    "activations": job.report.activations,
-                    "row_energy_nj": job.report.row_energy_nj,
-                    "coverage": job.report.coverage,
-                    "elapsed_mem_cycles": job.report.elapsed_mem_cycles,
+                    "ipc": report.ipc,
+                    "activations": report.activations,
+                    "row_energy_nj": report.row_energy_nj,
+                    "coverage": report.coverage,
+                    "elapsed_mem_cycles": report.elapsed_mem_cycles,
                 }
             self.append(state, summary)
 
