@@ -4,17 +4,19 @@ The in-process tests (``tests/test_service.py``) run the daemon's
 asyncio loop in a thread of the test process; this script exercises the
 deployment shape instead: it launches ``repro-harness serve`` as a real
 subprocess, throws 8 concurrent duplicate submissions at it over
-localhost HTTP, and checks the three properties the service exists to
+localhost HTTP, and checks the properties the service exists to
 provide:
 
 1. exactly **one** simulation ran (coalescing + cache, asserted via
    ``/v1/stats``),
 2. all 8 clients received **byte-identical** result payloads,
-3. a ``POST /v1/shutdown`` with ``drain=true`` lets the daemon exit
+3. a Dyn-DMS telemetry job, watched over SSE, runs on the worker tier
+   (``/v1/healthz`` ``tier.dispatches`` grows by one) and streams
+   window frames equal to its result's timeline samples,
+4. a ``POST /v1/shutdown`` with ``drain=true`` lets the daemon exit
    cleanly (exit code 0) with nothing left in the queue.
 
-Exits non-zero on any violation. Used by the (non-gating) CI service
-smoke job::
+Exits non-zero on any violation. Used by the CI service smoke job::
 
     PYTHONPATH=src python scripts/service_smoke.py
 """
@@ -59,6 +61,36 @@ def _wait_healthy(client, deadline: float) -> None:
             last = exc
         time.sleep(0.1)
     raise SystemExit(f"daemon never became healthy: {last}")
+
+
+def _telemetry_job(client) -> list[str]:
+    """Run one Dyn-DMS telemetry job watched over SSE; returns the
+    violations found (empty when it streamed its timeline on the tier)."""
+    from repro.harness.schemes import scheme_def
+    from repro.sim.spec import SimSpec
+
+    dispatches = client.healthz()["tier"]["dispatches"]
+    spec = SimSpec(scheduler=scheme_def("dyn-dms").build(), telemetry=True)
+    job = client.submit(APP, spec=spec, scale=SCALE, seed=SEED)
+    windows = []
+    for event, data in client.watch(job["id"], timeout=300):
+        if event == "window":
+            data.pop("event_id", None)
+            windows.append(data)
+    doc = client.job(job["id"])
+    grown = client.healthz()["tier"]["dispatches"] - dispatches
+    print(f"telemetry job: state={doc['state']} windows={len(windows)} "
+          f"tier_dispatches=+{grown}")
+    if doc["state"] != "done":
+        return [f"telemetry job failed: {doc.get('error')}"]
+    problems = []
+    if not windows or windows != doc["result"]["timeline"]["samples"]:
+        problems.append("telemetry job's window frames differ from its "
+                        "result's timeline samples")
+    if grown != 1:
+        problems.append(f"expected 1 tier dispatch for the telemetry "
+                        f"job, got {grown}")
+    return problems
 
 
 def main() -> int:
@@ -115,6 +147,10 @@ def main() -> int:
         if distinct != 1:
             print(f"FAIL: {distinct} distinct payloads across "
                   f"{CLIENTS} clients")
+            ok = False
+        # After the simulation count above, so it still expects 1.
+        for problem in _telemetry_job(client):
+            print(f"FAIL: {problem}")
             ok = False
 
         client.shutdown(drain=True)

@@ -3,29 +3,13 @@
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.config.address import AddressMapping
 
-
-class _RidState(threading.local):
-    """Per-thread request-id stream.
-
-    The counter is thread-local because the service daemon simulates
-    telemetry jobs concurrently on its executor threads: each thread
-    re-seeds *its own* stream at the top of every job (see
-    ``reset_request_ids``), so concurrent jobs cannot interleave rids —
-    a job's report depends only on its spec, never on what another
-    thread simulated at the same time.
-    """
-
-    def __init__(self) -> None:
-        self.counter = itertools.count()
-
-
-_rids = _RidState()
+#: The process's request-id stream (see :func:`reset_request_ids`).
+_rids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -73,7 +57,7 @@ class MemoryRequest:
     enqueue_time: float = 0.0
     tag: Any = None
     tenant_id: int = 0
-    rid: int = field(default_factory=lambda: next(_rids.counter))
+    rid: int = field(default_factory=lambda: next(_rids))
 
     @classmethod
     def from_address(
@@ -115,10 +99,12 @@ class MemoryRequest:
 
 
 def reset_request_ids() -> None:
-    """Restart the calling thread's request id counter.
+    """Restart the process's request id counter.
 
     Called at the top of every simulated cell (and by tests needing
     isolation) so rids — and therefore the full report — depend only on
-    the cell itself, in any process *or thread*.
+    the cell itself, in any process. A process simulates one cell at a
+    time: the service daemon runs every job on its worker tier.
     """
-    _rids.counter = itertools.count()
+    global _rids
+    _rids = itertools.count()

@@ -120,7 +120,7 @@ FLAGS: dict[str, dict] = {
     "--cell-timeout": dict(
         type=float, default=None, metavar="SECONDS",
         help="kill any attempt exceeding this wall-clock time (runs "
-        "cells in the supervised pool; telemetry jobs are exempt)",
+        "cells in the supervised pool)",
     ),
     "--chaos": dict(
         default=None, metavar="PLAN",
@@ -132,11 +132,6 @@ FLAGS: dict[str, dict] = {
         default=None,
         help="result cache root (default: $REPRO_CACHE_DIR or "
         ".repro-cache)",
-    ),
-    "--window": dict(
-        type=int, default=WINDOW_CYCLES, metavar="CYCLES",
-        help="telemetry window length in memory cycles (default: the "
-        f"harness profiling window, {WINDOW_CYCLES})",
     ),
     "--timeout": dict(
         type=float, default=600.0,
@@ -267,7 +262,12 @@ def _trace_main(argv: list[str]) -> int:
     )
     parser.add_argument("scheme", help=f"scheduling scheme: {SCHEME_HELP}")
     parser.add_argument("workload", help=WORKLOAD_HELP)
-    _add_flags(parser, "--scale", "--seed", "--window")
+    _add_flags(parser, "--scale", "--seed")
+    parser.add_argument(
+        "--window", type=int, default=WINDOW_CYCLES, metavar="CYCLES",
+        help="telemetry window length in memory cycles (default: the "
+        f"harness profiling window, {WINDOW_CYCLES})",
+    )
     parser.add_argument(
         "--out-dir", default="traces",
         help="directory receiving the exported files",
@@ -783,10 +783,7 @@ def _serve_main(argv: list[str]) -> int:
         "/v1/experiments routes (default: $REPRO_WAREHOUSE or "
         ".repro-warehouse.sqlite)",
     )
-    _add_flags(
-        parser, "--retries", "--cell-timeout", "--window", "--quiet",
-        window=None,
-    )
+    _add_flags(parser, "--retries", "--cell-timeout", "--quiet")
     args = parser.parse_args(argv)
     if args.workers < 0:
         parser.error("--workers must be >= 0")
@@ -809,7 +806,6 @@ def _serve_main(argv: list[str]) -> int:
         sse_ring_events=args.sse_ring_events or DEFAULT_RING_EVENTS,
         retries=args.retries,
         cell_timeout=args.cell_timeout,
-        window_cycles=args.window or WINDOW_CYCLES,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
         shed_watermark=args.shed_watermark,

@@ -274,12 +274,11 @@ class CellFailure:
 class CellAttempts:
     """The attempts of one cell under the one retry rule.
 
-    Every path that runs a cell — the runner's serial loop, the pooled
-    supervisor (:func:`repro.harness.pool.run_cells`) that the runner
-    and the service tier share, and the daemon's in-thread telemetry
-    jobs — charges its failed attempts here: a cell gets ``1 + retries``
-    attempts, spaced by :meth:`delay`, and then becomes a
-    :class:`CellFailure`.
+    Both paths that run a cell — the runner's serial loop and the
+    pooled supervisor (:func:`repro.harness.pool.run_cells`) that the
+    runner and the service tier share — charge their failed attempts
+    here: a cell gets ``1 + retries`` attempts, spaced by
+    :meth:`delay`, and then becomes a :class:`CellFailure`.
     """
 
     cell: "CellSpec"

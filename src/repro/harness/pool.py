@@ -20,6 +20,10 @@ with workers that outlive individual matrices:
   payloads.  Nothing on the hot path depends on pickling repro classes;
   only a *failing* cell's exception object rides the pipe's native
   pickle so the supervisor sees the real type (e.g. ``ChaosCrash``).
+* **Live telemetry** — while a ``spec.telemetry`` cell runs, its
+  worker sends each window as the sampler closes it, a ``win`` message
+  ahead of the cell's ``ok`` or ``err``; the collector hands it to the
+  ``on_window`` sink the cell was submitted with.
 * **Surgical supervision** — the pool knows which worker runs which
   future.  A dead worker fails only *its* in-flight futures (with
   :class:`~repro.errors.WorkerCrashError`) and is respawned alone;
@@ -49,6 +53,7 @@ from repro.errors import CellTimeoutError, WorkerCrashError
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.harness.faults import CellAttempts, FaultPlan
     from repro.sim.report import SimReport
+    from repro.telemetry.series import WindowSample
 
 #: A work item, exactly the tuple the seed pool entry point took:
 #: ``(cache key, CellSpec, FaultPlan | None, cell index, attempt)``.
@@ -86,13 +91,16 @@ def _encode_item(item: WorkItem) -> dict:
     }
 
 
-def _run_payload(payload: dict, workloads: dict) -> tuple[str, dict, float]:
+def _run_payload(
+    payload: dict, workloads: dict, on_window: Callable
+) -> tuple[str, dict, float]:
     """Decode and simulate one cell; returns (key, report dict, secs).
 
     Runs inside a worker process, with ``workloads`` the one-entry
-    workload memo of the batch. Chaos faults fire inside
-    ``_simulate_cell`` with ``in_worker=True``, so an injected ``exit``
-    genuinely kills this process.
+    workload memo of the batch and ``on_window`` the sink of the cell's
+    telemetry windows. Chaos faults fire inside ``_simulate_cell`` with
+    ``in_worker=True``, so an injected ``exit`` genuinely kills this
+    process.
     """
     from repro.config import codec
     from repro.harness import runner as runner_mod
@@ -111,6 +119,7 @@ def _run_payload(payload: dict, workloads: dict) -> tuple[str, dict, float]:
         cell_index=payload["index"],
         attempt=payload["attempt"],
         in_worker=True,
+        on_window=on_window,
     )
     return payload["key"], report.to_dict(), elapsed
 
@@ -123,11 +132,14 @@ def _worker_main(conn) -> None:
     write from the parent); under spawn it is paid once per worker
     instead of once per cell.
 
-    Besides cell batches the pipe carries ``("ping", seq)`` heartbeat
-    probes, answered with ``("pong", seq, pid)``.  A worker only reads
-    the pipe between batches, so a pong certifies *idle* liveness; a
-    worker busy simulating answers late, which is exactly why busy
-    workers are supervised by per-job deadlines instead.
+    Each cell ends in ``("ok", task, key, report dict, secs)`` or
+    ``("err", task, exc, traceback)``; a telemetry cell sends
+    ``("win", task, sample dict)`` for each window before that.  Besides
+    cell batches the pipe carries ``("ping", seq)`` heartbeat probes,
+    answered with ``("pong", seq, pid)``.  A worker only reads the pipe
+    between batches, so a pong certifies *idle* liveness; a worker busy
+    simulating answers late, which is exactly why busy workers are
+    supervised by per-job deadlines instead.
     """
     import os as os_mod
 
@@ -151,8 +163,13 @@ def _worker_main(conn) -> None:
         # keeps no workload alive.
         workloads: dict = {}
         for task_id, payload in msg:
+            def on_window(sample, task_id=task_id) -> None:
+                conn.send(("win", task_id, sample.to_dict()))
+
             try:
-                key, report_dict, elapsed = _run_payload(payload, workloads)
+                key, report_dict, elapsed = _run_payload(
+                    payload, workloads, on_window
+                )
             except Exception as exc:
                 tb = traceback.format_exc()
                 try:
@@ -167,6 +184,14 @@ def _worker_main(conn) -> None:
             else:
                 conn.send(("ok", task_id, key, report_dict, elapsed))
         workloads.clear()
+
+
+class _CellFuture(Future):
+    """A cell's future, with the sink of its streamed telemetry windows."""
+
+    def __init__(self, on_window: Optional[Callable]) -> None:
+        super().__init__()
+        self.on_window = on_window
 
 
 class _ProcessWorker:
@@ -229,14 +254,20 @@ class WarmPool:
         """Dispatch one cell; the future resolves to (key, report, s)."""
         return self.submit_many([item])[0]
 
-    def submit_many(self, items: list[WorkItem]) -> list[Future]:
+    def submit_many(
+        self,
+        items: list[WorkItem],
+        on_window: Optional[Callable[["WindowSample"], None]] = None,
+    ) -> list[Future]:
         """Dispatch cells batched per worker, one pipe message each.
 
         Assignment is least-loaded: while the supervising runner keeps
         at most ``size`` cells in flight (the timeout mode), every cell
         is guaranteed its own worker — which is what makes the runner's
         ``submit time + timeout`` deadline accurate and its kill
-        surgical.
+        surgical. ``on_window`` receives, on the collector thread, each
+        telemetry window these cells' workers stream while their
+        futures are pending.
         """
         futures: list[Future] = []
         batches: dict[int, list[tuple[int, dict]]] = {}
@@ -247,7 +278,7 @@ class WarmPool:
             for item in items:
                 task_id = self._next_id
                 self._next_id += 1
-                future: Future = Future()
+                future = _CellFuture(on_window)
                 target = min(
                     range(len(workers)),
                     key=lambda i: (len(workers[i].inflight), i),
@@ -502,6 +533,7 @@ class WarmPool:
 
     def _deliver(self, worker: _ProcessWorker, msg: tuple) -> None:
         from repro.sim.report import SimReport
+        from repro.telemetry.series import WindowSample
 
         kind = msg[0]
         # Any message off the pipe proves the worker alive — refresh the
@@ -511,6 +543,13 @@ class WarmPool:
             return
         task_id = msg[1]
         with self._lock:
+            if kind == "win":
+                # Under the lock, so no window reaches the sink of a
+                # future that kill_owner/close has detached.
+                future = worker.inflight.get(task_id)
+                if future is not None and future.on_window is not None:
+                    future.on_window(WindowSample.from_dict(msg[2]))
+                return
             future = worker.inflight.pop(task_id, None)
         if future is None:  # detached by kill_owner/close
             return
@@ -539,13 +578,17 @@ async def run_cells(
     charge: Callable[["CellAttempts", BaseException, float], bool],
     finish: Callable[["CellAttempts", "SimReport", float], None],
     on_dispatch: Optional[Callable[["CellAttempts"], None]] = None,
+    on_window: Optional[Callable[["WindowSample"], None]] = None,
 ) -> None:
     """Run ``cells`` on ``pool`` until each succeeds or is quarantined.
 
     Each success goes to ``finish(record, report, seconds)`` as it
     arrives; each failed attempt to ``charge(record, error, seconds)``,
     which logs it on the record and returns whether to retry it after
-    ``record.delay()``. ``on_dispatch`` sees every attempt as it is sent.
+    ``record.delay()``. ``on_dispatch`` sees every attempt as it is sent,
+    and ``on_window`` each telemetry window an attempt streams, on the
+    pool's collector thread (the service tier runs one cell a call); a
+    retried attempt streams its windows again from the first.
 
     * With no ``timeout`` every first attempt goes out in one
       :meth:`WarmPool.submit_many`, one message per worker, so the
@@ -575,7 +618,7 @@ async def run_cells(
             (record.key, record.cell, faults, record.index,
              record.attempts + 1)
             for record in batch
-        ])
+        ], on_window)
 
     sent = time.monotonic()
     first = submit(cells) if slots is None else None

@@ -70,7 +70,7 @@ import sys
 import time
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.config.scheduler import SchedulerConfig
 from repro.dram.request import reset_request_ids
@@ -172,6 +172,7 @@ def _simulate_cell(
     cell_index: Optional[int] = None,
     attempt: int = 1,
     in_worker: bool = False,
+    on_window: Optional[Callable] = None,
 ) -> tuple[SimReport, float]:
     """Simulate one cell; returns (report, elapsed seconds).
 
@@ -192,6 +193,9 @@ def _simulate_cell(
     crash/exit/hang faults fire here — before any simulation state is
     touched — so an injected failure is indistinguishable from a real
     one to the supervising runner.
+
+    ``on_window`` sees each telemetry window of a ``spec.telemetry``
+    cell as it closes (a pool worker streams them to its parent).
     """
     if faults is not None and cell_index is not None:
         faults.fire_pre_simulation(cell_index, attempt, in_worker=in_worker)
@@ -200,8 +204,12 @@ def _simulate_cell(
     if key not in workloads:
         workloads.clear()
         workloads[key] = cell.workload()
+    hub = None
+    if on_window is not None and cell.spec.telemetry:
+        hub = MetricsHub()
+        hub.on_window = on_window
     start = time.perf_counter()
-    report = simulate_spec(workloads[key], cell.spec)
+    report = simulate_spec(workloads[key], cell.spec, telemetry=hub)
     return report, time.perf_counter() - start
 
 

@@ -38,7 +38,6 @@ from repro.harness.runner import CellSpec
 from repro.sim.spec import SimSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.telemetry.hub import MetricsHub
     from repro.telemetry.series import WindowSample
 
 
@@ -160,8 +159,11 @@ class Job:
     result: Optional[bytes] = None
     #: Concurrent identical submissions riding on this job's execution.
     followers: list["Job"] = field(default_factory=list)
-    #: Live telemetry hub of the in-flight simulation (streaming jobs).
-    live_hub: Optional["MetricsHub"] = None
+    #: Telemetry windows the running simulation has streamed so far,
+    #: appended by the worker tier's collector thread (list appends
+    #: are GIL-atomic). Emptied once the job is terminal: a done job's
+    #: windows are its report's timeline.
+    windows: list["WindowSample"] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -264,19 +266,6 @@ class Job:
             self.started_at = now
         elif new_state in TERMINAL_STATES:
             self.finished_at = now
-
-    # ------------------------------------------------------------------
-    def window_samples(self) -> list["WindowSample"]:
-        """Every telemetry window the in-flight simulation has published.
-
-        Reads the live sampler list the
-        :class:`~repro.telemetry.sampler.WindowSeries` publishes on its
-        hub (appends are GIL-atomic, so a snapshot from another thread
-        is safe). A finished job's windows are in its report's timeline.
-        """
-        hub = self.live_hub
-        live = getattr(hub, "live_samples", None) if hub is not None else None
-        return list(live) if live else []
 
     # ------------------------------------------------------------------
     def to_public_dict(self) -> dict:

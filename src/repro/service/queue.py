@@ -19,8 +19,8 @@ Admission order for every submission (:meth:`JobQueue.admit`):
 
 All methods must run on the daemon's event loop (single-threaded
 admission makes the coalescing index race-free by construction); the
-simulations themselves run on the worker tier (telemetry jobs on
-executor threads).
+simulations themselves, telemetry jobs included, run on the worker
+tier.
 """
 
 from __future__ import annotations

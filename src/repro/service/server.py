@@ -22,17 +22,17 @@ multi-tenant simulation service::
 Execution reuses the existing harness stack end to end: admission is
 cache-first against the shared :class:`~repro.harness.cache.ResultCache`,
 identical in-flight specs coalesce onto one computation
-(:mod:`repro.service.queue`), and simulations run on a **supervised
+(:mod:`repro.service.queue`), and every job runs on a **supervised
 worker tier** (:class:`~repro.service.workers.WorkerTier`): ``workers``
 persistent simulator *processes* over a
 :class:`~repro.harness.pool.WarmPool`, with heartbeats, per-job
 wall-clock deadlines, and in-place respawn — a crashing or hung worker
 fails only its own in-flight job and never takes the daemon down.
-Jobs whose spec asks for telemetry run in-process (executor thread)
-instead so their :class:`~repro.telemetry.sampler.WindowSeries`
-samples can be streamed over SSE *while the simulation is running*;
-their attempts follow the same retry rule
-(:class:`~repro.harness.faults.CellAttempts`).
+A job whose spec asks for telemetry takes the same path: its worker
+sends each :class:`~repro.telemetry.series.WindowSample` over the pool
+pipe as it closes, so SSE watchers see the windows *while the
+simulation is running*, and the job is killed at ``cell_timeout`` and
+takes a chaos ordinal like any other.
 
 Robustness layers around the tier:
 
@@ -84,11 +84,9 @@ from repro.analytics.warehouse import (
     Warehouse,
     resolve_warehouse_path,
 )
-from repro.dram.request import reset_request_ids
 from repro.errors import ConfigError, JobStateError
 from repro.harness.cache import ResultCache, encode_report
-from repro.harness.faults import CellAttempts, FaultPlan
-from repro.harness.schemes import WINDOW_CYCLES
+from repro.harness.faults import FaultPlan
 from repro.service.breaker import CircuitBreaker, RejectedByBreaker
 from repro.service.jobs import (
     Job,
@@ -100,7 +98,10 @@ from repro.service.queue import ADMIT_CACHED, JobQueue, QueueFullError
 from repro.service.stream import DEFAULT_RING_EVENTS, EventRing, sse_frame
 from repro.service.workers import TierExecutionFailed, WorkerTier
 from repro.sim.report import SimReport
-from repro.sim.system import simulate_spec
+# Nothing here calls it since every job runs on the worker tier, but
+# perfbench/daemon.py:93 wraps this module attribute (looked up with
+# inspect.getattr_static) in traced runs, which fail without it.
+from repro.sim.system import simulate_spec  # noqa: F401
 from repro.telemetry.hub import (
     MetricsHub,
     SERVICE_BREAKER_OPENED,
@@ -154,9 +155,10 @@ class ServiceDaemon:
 
     ``workers=0`` is admission-only mode (jobs queue but never run) —
     useful for tests exercising backpressure and cancellation
-    deterministically.  Otherwise non-telemetry jobs run on the
-    supervised :class:`~repro.service.workers.WorkerTier` of simulator
-    processes, and telemetry jobs on daemon threads.
+    deterministically.  Otherwise every job runs on the supervised
+    :class:`~repro.service.workers.WorkerTier` of simulator processes;
+    the daemon's executor threads only store reports and read the
+    warehouse.
     """
 
     def __init__(
@@ -172,7 +174,6 @@ class ServiceDaemon:
         retries: int = 1,
         retry_backoff: float = 0.05,
         cell_timeout: Optional[float] = None,
-        window_cycles: int = WINDOW_CYCLES,
         sse_ring_events: int = DEFAULT_RING_EVENTS,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 60.0,
@@ -194,7 +195,6 @@ class ServiceDaemon:
         self.retries = retries
         self.retry_backoff = retry_backoff
         self.cell_timeout = cell_timeout
-        self.window_cycles = window_cycles
         self.sse_ring_events = sse_ring_events
         self.shed_watermark = shed_watermark
         self.chaos = chaos
@@ -203,7 +203,7 @@ class ServiceDaemon:
         #: default path; the routes 404 until the file exists).
         self.warehouse_path = resolve_warehouse_path(warehouse_path)
         self.verbose = verbose
-        self.hub = MetricsHub(window_cycles=max(window_cycles, 1))
+        self.hub = MetricsHub()
         self.breaker = CircuitBreaker(
             threshold=breaker_threshold, cooldown=breaker_cooldown
         )
@@ -405,9 +405,12 @@ class ServiceDaemon:
         error: Optional[dict],
     ) -> None:
         """Resolve a primary and all its followers to a terminal state;
-        each member holds the one ``result`` bytes object."""
+        each member holds the one ``result`` bytes object. The primary
+        drops its streamed windows: a done job's windows are its
+        report's timeline."""
         members = [job, *job.followers]
         job.followers = []
+        job.windows = []
         for member in members:
             if member.terminal:
                 continue
@@ -464,15 +467,10 @@ class ServiceDaemon:
             self._running[job.id] = job
             started = time.monotonic()
             try:
-                if job.spec.telemetry:
-                    result = await self._loop.run_in_executor(
-                        self._executor, self._execute_streaming, job
-                    )
-                else:
-                    report = await self.tier.execute(job)
-                    result = await self._loop.run_in_executor(
-                        self._executor, self._store_result, job, report
-                    )
+                report = await self.tier.execute(job)
+                result = await self._loop.run_in_executor(
+                    self._executor, self._store_result, job, report
+                )
             except TierExecutionFailed as exc:
                 self._note_failure(
                     job, exc.failure.to_dict(), fatal=exc.fatal
@@ -510,39 +508,6 @@ class ServiceDaemon:
                 job.key, report, meta=job.cell.cache_meta, encoded=result
             )
         return result
-
-    # ------------------------------------------------------------------
-    # Telemetry jobs (run in executor threads)
-    # ------------------------------------------------------------------
-    def _execute_streaming(self, job: Job) -> bytes:
-        """In-process execution with a live telemetry hub attached, so
-        the SSE streamer can watch windows arrive mid-run; returns the
-        report's bytes, encoded once and stored as they are. Failed
-        attempts are charged to the same :class:`CellAttempts` record
-        as on the worker tier, but there is no preemptive
-        ``cell_timeout`` (an in-thread simulation cannot be killed; use
-        a non-telemetry spec when you need hard kills).
-        """
-        cell = job.cell
-        record = CellAttempts(
-            cell=cell, key=job.key, label=cell.spec.scheduler.name,
-            retries=self.retries, backoff=self.retry_backoff,
-        )
-        while True:
-            job.attempts = record.attempts + 1
-            start = time.perf_counter()
-            try:
-                reset_request_ids()
-                workload = cell.workload()
-                hub = MetricsHub(window_cycles=self.window_cycles)
-                job.live_hub = hub
-                report = simulate_spec(workload, cell.spec, telemetry=hub)
-            except Exception as exc:
-                if not record.fail(exc, time.perf_counter() - start):
-                    raise TierExecutionFailed(record) from exc
-                time.sleep(record.delay())
-            else:
-                return self._store_result(job, report)
 
     # ------------------------------------------------------------------
     # HTTP layer

@@ -24,7 +24,8 @@ re-derived state transitions on its own.  This module makes the event
 
 Everything here runs on the daemon's event loop (watchers are asyncio
 handlers), so the ring needs no locking; the only cross-thread read is
-the live telemetry sample list, which the hub documents as snapshot-safe.
+a running job's window list, which the worker tier's collector thread
+appends to as the worker streams windows over the pool pipe.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ class EventRing:
 
         ``execution`` is the job actually carrying the simulation when
         ``job`` is a coalesced follower — window samples stream from the
-        primary's live hub while state/terminal events stay the
-        follower's own.
+        primary's :attr:`~repro.service.jobs.Job.windows` while
+        state/terminal events stay the follower's own.
 
         ``load_report`` decodes the finished job's report. It is called
         once, when the terminal event is published: the report's
@@ -123,12 +124,13 @@ class EventRing:
         if report is not None and report.timeline is not None:
             samples = report.timeline.samples
         else:
-            samples = (execution or job).window_samples()
-        for sample in samples[self._windows_published:]:
+            samples = (execution or job).windows
+        # One slice: the collector thread may append to a running
+        # job's list meanwhile.
+        fresh = samples[self._windows_published:]
+        for sample in fresh:
             self.append("window", sample.to_dict())
-        self._windows_published = max(
-            self._windows_published, len(samples)
-        )
+        self._windows_published += len(fresh)
         state = job.state.value
         if state != self._last_state:
             self._last_state = state

@@ -4,10 +4,13 @@ Jobs run in *separate processes* owned by a persistent
 :class:`~repro.harness.pool.WarmPool`, so a wedged simulation or a
 crash in C-level code (or an ``os._exit``) fails only its own job: the
 worker respawns in place while the daemon — and every other in-flight
-job and SSE watcher — keeps serving.  Each job is one cell run by
-:func:`~repro.harness.pool.run_cells`, the coroutine that also
-supervises the runner's ``--jobs N`` sweeps, and its attempts are
-charged to one :class:`~repro.harness.faults.CellAttempts` record.
+job and SSE watcher — keeps serving.  Each job, telemetry or not, is
+one cell run by :func:`~repro.harness.pool.run_cells`, the coroutine
+that also supervises the runner's ``--jobs N`` sweeps, and its attempts
+are charged to one :class:`~repro.harness.faults.CellAttempts` record.
+A telemetry job's worker streams each window over the pool pipe as it
+closes, into :attr:`~repro.service.jobs.Job.windows`, which the job's
+SSE ring publishes.
 
 Supervision layers, mirroring the staged design the paper's serving
 argument rests on (admission / arbitration / execution failing
@@ -54,8 +57,9 @@ from repro.telemetry.hub import (
     SERVICE_TIER_TIMEOUTS,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.service.jobs import Job
+    from repro.telemetry.series import WindowSample
 
 #: Heartbeat period (seconds) of the tier's background supervisor task.
 DEFAULT_HEARTBEAT_SECONDS = 2.0
@@ -200,7 +204,9 @@ class WorkerTier:
         :class:`TierExecutionFailed` after ``1 + retries`` attempts.
 
         The job's :attr:`~repro.service.jobs.Job.attempts` counter is
-        kept live so status documents show retry progress mid-flight.
+        kept live so status documents show retry progress mid-flight,
+        and its :attr:`~repro.service.jobs.Job.windows` list grows as
+        the worker streams telemetry windows.
         """
         record = CellAttempts(
             cell=job.cell, key=job.key, label=job.spec.scheduler.name,
@@ -226,13 +232,19 @@ class WorkerTier:
         def dispatched(record: CellAttempts) -> None:
             job.attempts = record.attempts + 1
 
+        def window(sample: WindowSample) -> None:
+            # A retry replays the same deterministic prefix: keep each
+            # window once.
+            if sample.index == len(job.windows):
+                job.windows.append(sample)
+
         self.inflight[job.id] = job
         try:
             await run_cells(
                 self.pool, [record], faults=self.chaos,
                 timeout=self.deadline, charge=charge,
                 finish=lambda record, report, _: reports.append(report),
-                on_dispatch=dispatched,
+                on_dispatch=dispatched, on_window=window,
             )
         finally:
             self.inflight.pop(job.id, None)

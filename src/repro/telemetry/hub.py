@@ -21,12 +21,14 @@ with telemetry off (enforced by ``tests/test_telemetry.py``).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.telemetry.series import Timeline
+from repro.telemetry.series import Timeline, WindowSample
 
-#: Default window, matching the paper's 4096-cycle profiling interval.
-DEFAULT_WINDOW_CYCLES = 4096
+#: Default window: the harness's Dyn-DMS/Dyn-AMS profiling window
+#: (``repro.harness.schemes.WINDOW_CYCLES``). Every ``spec.telemetry``
+#: report is recorded at it, so its cache key fixes its timeline.
+DEFAULT_WINDOW_CYCLES = 1024
 
 # ----------------------------------------------------------------------
 # Canonical counter names of the harness fault-tolerance layer. The
@@ -130,12 +132,9 @@ class MetricsHub:
         self.gauges: dict[str, float] = {}
         #: Filled in by the window recorder at the end of the run.
         self.timeline: Optional[Timeline] = None
-        #: Live view of the window recorder's growing sample list,
-        #: published by :class:`~repro.telemetry.sampler.WindowSeries`
-        #: as soon as it attaches. List appends are GIL-atomic, so a
-        #: reader in another thread (the service's SSE streamer) can
-        #: snapshot it mid-run without locking.
-        self.live_samples: Optional[list] = None
+        #: Called with each window as the recorder closes it (a worker
+        #: of the service tier streams them to the daemon this way).
+        self.on_window: Optional[Callable[[WindowSample], None]] = None
         #: Named append-only numeric series (one value per window),
         #: e.g. the per-tenant ``tenant.<name>.served`` timelines. Kept
         #: outside :class:`~repro.telemetry.series.WindowSample` — whose
@@ -182,7 +181,6 @@ class NullHub:
     enabled = False
     window_cycles = 0
     timeline = None
-    live_samples = None
     series: dict[str, list] = {}
 
     def inc(self, name: str, value: float = 1.0) -> None:

@@ -10,7 +10,9 @@ The invariants pinned down here, against a real in-process daemon
    restart is answered from the persistent cache without simulating.
 3. **SSE carries the controller state** — a dyn-dms telemetry job
    streams at least one window sample with its per-channel Dyn-DMS
-   ``X`` trajectory, followed by a terminal frame.
+   ``X`` trajectory, followed by a terminal frame. The windows stream
+   live from the worker tier, and they are the timeline of the one
+   report the cell's key gives on every path.
 4. **Backpressure is a protocol, not a crash** — a full queue is a 429
    with a Retry-After hint; a malformed spec is a 400 naming the
    offending key path.
@@ -34,7 +36,8 @@ from hypothesis import strategies as st
 from repro.config.gpu import GPUConfig
 from repro.config.tenants import TenantMixSpec, TenantSpec
 from repro.errors import ConfigError, ServiceBusyError, ServiceError
-from repro.harness.cache import ResultCache
+from repro.harness.cache import ResultCache, encode_report
+from repro.harness.runner import Runner
 from repro.harness.schemes import scheme_def
 from repro.service.client import ServiceClient
 from repro.service.jobs import (
@@ -164,6 +167,60 @@ def test_sse_streams_dyn_dms_window_trajectory(tmp_path):
         assert isinstance(sample["th_rbl"], list) and sample["th_rbl"]
         # Terminal frame carries the summary metrics.
         assert terminal[1]["metrics"]["ipc"] > 0
+    finally:
+        daemon.stop()
+
+
+def test_one_key_gives_one_telemetry_report_streamed_live(tmp_path):
+    """A ``spec.telemetry`` cell gives one report, timeline included,
+    from the runner and from the daemon; a watcher's window frames are
+    that timeline, and they arrive while the job is still running."""
+    scheme = scheme_def("dyn-dms").build()
+    runner = Runner(
+        scale=1.0, seed=3, spec=SimSpec(telemetry=True), cache=None,
+        verbose=False, faults=None,
+    )
+    cell = runner.cell("synthetic", scheme)
+    local = json.loads(encode_report(runner.run("synthetic", scheme)))
+    daemon = _daemon(tmp_path)
+    daemon.start_in_thread()
+    try:
+        client = ServiceClient(port=daemon.port)
+        job = client.submit(
+            "synthetic", spec=cell.spec, scale=1.0, seed=3
+        )
+        windows, states = [], []
+        for event, data in client.events(job["id"], timeout=WAIT):
+            if event == "window":
+                data.pop("event_id")
+                windows.append(data)
+                states.append(client.job(job["id"])["state"])
+        doc = client.job(job["id"])
+    finally:
+        daemon.stop()
+    assert doc["state"] == "done" and doc["key"] == cell.key
+    assert doc["result"] == local
+    assert len(windows) > 1
+    assert windows == doc["result"]["timeline"]["samples"]
+    assert "running" in states
+
+
+def test_finished_telemetry_jobs_keep_no_windows(tmp_path):
+    daemon = _daemon(tmp_path)
+    daemon.start_in_thread()
+    try:
+        client = ServiceClient(port=daemon.port)
+        spec = SimSpec(
+            scheduler=scheme_def("dyn-dms").build(), telemetry=True
+        )
+        jobs = [
+            client.submit("synthetic", spec=spec, scale=0.3, seed=seed)
+            for seed in (3, 4, 5)
+        ]
+        for job in jobs:
+            assert client.wait(job["id"], timeout=WAIT)["state"] == "done"
+        assert len(daemon.jobs) == 3
+        assert not any(job.windows for job in daemon.jobs.values())
     finally:
         daemon.stop()
 

@@ -23,10 +23,11 @@ threaded into the tier's worker processes:
    labeled ``degraded``, and cold specs get an honest 503.
 6. **Load shedding** — with every worker busy and the queue past its
    watermark, submissions shed with 429 + Retry-After.
-7. **Deadlines and in-thread retries** — a hung attempt is killed at
+7. **Deadlines and retries** — a hung attempt is killed at
    ``cell_timeout`` and retried byte-identically (or, with no retries
    left, fails as a fatal ``CellTimeoutError``), and a telemetry job
-   retries a failing in-thread simulation under the same rule.
+   takes the same kill, retry and failure paths on the tier, streaming
+   each window once.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan
 from repro.harness.runner import Runner
 from repro.harness.schemes import scheme_def
-from repro.service import server as server_mod
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceDaemon
 from repro.sim.spec import SimSpec
@@ -471,7 +471,7 @@ def test_saturated_tier_sheds_with_retry_after(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# 7: per-attempt deadlines on the tier, retries of in-thread jobs
+# 7: per-attempt deadlines and retries on the tier, telemetry jobs too
 # ----------------------------------------------------------------------
 #: Far above a clean synthetic job at ``SCALE``, far below the hang.
 CELL_TIMEOUT = 3.0
@@ -542,33 +542,101 @@ def test_a_timeout_records_the_same_failure_on_every_path(tmp_path):
     assert pooled["message"] == tier["message"]
 
 
-def _failing_simulate(monkeypatch, failures: int) -> None:
-    """Make the daemon's in-thread ``simulate_spec`` raise on its first
-    ``failures`` calls, then simulate normally."""
-    real = server_mod.simulate_spec
-    calls = {"n": 0}
+def _watched_run(daemon: ServiceDaemon, spec: SimSpec) -> dict:
+    """Start ``daemon``, run one synthetic job of ``spec`` watched over
+    SSE from submission to its end, stop the daemon; returns the job's
+    document, its window frames, the tier's healthz and the counters."""
+    daemon.start_in_thread()
+    try:
+        client = ServiceClient(port=daemon.port)
+        job = client.submit("synthetic", spec=spec, scale=SCALE)
+        windows = [
+            {k: v for k, v in data.items() if k != "event_id"}
+            for event, data in client.events(job["id"], timeout=WAIT)
+            if event == "window"
+        ]
+        return {
+            "doc": client.job(job["id"]),
+            "windows": windows,
+            "tier": client.healthz()["tier"],
+            "counters": daemon.hub.snapshot()["counters"],
+        }
+    finally:
+        daemon.stop()
 
-    def simulate_spec(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] <= failures:
-            raise RuntimeError(f"injected in-thread failure {calls['n']}")
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(server_mod, "simulate_spec", simulate_spec)
+def test_hung_telemetry_job_is_killed_and_streams_each_window_once(
+    tmp_path,
+):
+    """A telemetry job runs on the tier like any other: dispatch 0
+    hangs, is killed at its deadline and finishes on attempt 2 with the
+    window frames and report of an undisturbed daemon, each window
+    sent exactly once."""
+    spec = _spec(telemetry=True)
+    reference = _watched_run(
+        _daemon(tmp_path / "ref",
+                cache=ResultCache(tmp_path / "ref" / "cache")),
+        spec,
+    )
+    run = _watched_run(
+        _daemon(tmp_path, cell_timeout=CELL_TIMEOUT, retries=1,
+                chaos=FaultPlan.parse("hang@0:300")),
+        spec,
+    )
+    doc = run["doc"]
+    assert doc["state"] == "done", doc.get("error")
+    assert doc["attempts"] == 2  # one kill, one clean retry
+    assert run["counters"].get(SERVICE_TIER_TIMEOUTS, 0) == 1
+    assert run["counters"].get(SERVICE_TIER_RESPAWNS, 0) == 1
+    assert run["tier"]["dispatches"] == 1
+    assert doc["result"] == reference["doc"]["result"]
+    assert run["windows"] == reference["windows"]
+    assert run["windows"] == doc["result"]["timeline"]["samples"]
+    assert [w["index"] for w in run["windows"]] == list(
+        range(len(run["windows"]))
+    )
 
 
-def test_telemetry_job_retries_a_failed_simulation(tmp_path, monkeypatch):
-    _failing_simulate(monkeypatch, failures=1)
-    doc = _run_one(_daemon(tmp_path), _spec(telemetry=True))
+def test_telemetry_job_killed_mid_run_streams_no_window_twice(tmp_path):
+    """Both attempts outlive their deadline after streaming windows (the
+    run takes ~2 s, so each is killed part-way); the retry replays the
+    first attempt's windows, and the stream still carries each once."""
+    daemon = _daemon(tmp_path, cell_timeout=0.5, retries=1)
+    daemon.start_in_thread()
+    try:
+        client = ServiceClient(port=daemon.port)
+        job = client.submit(
+            "synthetic", spec=_spec(telemetry=True), scale=6.0, seed=3
+        )
+        indices = [
+            data["index"]
+            for event, data in client.events(job["id"], timeout=WAIT)
+            if event == "window"
+        ]
+        doc = client.job(job["id"])
+    finally:
+        daemon.stop()
+    assert doc["state"] == "failed" and doc["attempts"] == 2
+    assert doc["error"]["error_type"] == "CellTimeoutError"
+    assert indices == list(range(len(indices)))
+
+
+def test_telemetry_job_retries_a_failed_simulation(tmp_path):
+    doc = _run_one(
+        _daemon(tmp_path, chaos=FaultPlan.parse("crash@0")),
+        _spec(telemetry=True),
+    )
     assert doc["state"] == "done", doc.get("error")
     assert doc["attempts"] == 2
     assert doc["result"]["timeline"]
 
 
-def test_telemetry_job_fails_after_its_retries(tmp_path, monkeypatch):
-    _failing_simulate(monkeypatch, failures=10**6)
-    doc = _run_one(_daemon(tmp_path, retries=2), _spec(telemetry=True))
+def test_telemetry_job_fails_after_its_retries(tmp_path):
+    doc = _run_one(
+        _daemon(tmp_path, retries=2, chaos=FaultPlan.parse("crash@0x3")),
+        _spec(telemetry=True),
+    )
     assert doc["state"] == "failed"
     assert doc["attempts"] == doc["error"]["attempts"] == 3
-    assert doc["error"]["error_type"] == "RuntimeError"
-    assert "injected in-thread failure 3" in doc["error"]["traceback"]
+    assert doc["error"]["error_type"] == "ChaosCrash"
+    assert "ChaosCrash" in doc["error"]["traceback"]
