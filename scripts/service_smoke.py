@@ -26,6 +26,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -93,12 +94,11 @@ def _telemetry_job(client) -> list[str]:
     return problems
 
 
-def main() -> int:
-    sys.path.insert(0, str(SRC))
+def _smoke(port: int, tmp: str) -> int:
+    """Run the daemon on ``port`` with its cache and journal in ``tmp``;
+    returns the script's exit code."""
     from repro.service.client import ServiceClient
 
-    port = _free_port()
-    tmp = tempfile.mkdtemp(prefix="repro-service-smoke-")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
     env.pop("REPRO_NO_CACHE", None)  # the cache is part of the test
@@ -173,6 +173,15 @@ def main() -> int:
                 proc.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 proc.kill()
+
+
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    tmp = tempfile.mkdtemp(prefix="repro-service-smoke-")
+    try:
+        return _smoke(_free_port(), tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 if __name__ == "__main__":

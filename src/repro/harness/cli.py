@@ -45,7 +45,11 @@ from repro.errors import (
 )
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import EXPERIMENTS
-from repro.harness.faults import FaultPlan, failure_manifest
+from repro.harness.faults import (
+    FaultPlan,
+    check_run_limits,
+    failure_manifest,
+)
 from repro.harness.runner import Runner
 from repro.harness.schemes import WINDOW_CYCLES, resolve_scheme, scheme_ids
 from repro.sim.spec import SimSpec
@@ -190,6 +194,10 @@ def _runner(args: argparse.Namespace, **spec_fields) -> Runner:
     (``trace``) runs uncached; without ``--chaos``, ``$REPRO_CHAOS``
     applies."""
     flags = vars(args)
+    check_run_limits(**{
+        name: flags[name] for name in ("jobs", "retries", "cell_timeout")
+        if name in flags
+    })
     spec_fields.setdefault("device", flags.get("device"))
     chaos = flags.get("chaos")
     return Runner(
@@ -280,11 +288,12 @@ def _trace_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     with _usage_errors(parser):
         label, scheme = resolve_scheme(args.scheme)
+        runner = _runner(args)
 
     from repro.telemetry.export import system_chrome_trace, write_chrome_trace
     from repro.telemetry.export import write_jsonl
 
-    report, system, hub = _runner(args).run_traced(
+    report, system, hub = runner.run_traced(
         args.workload,
         scheme,
         window_cycles=args.window,
@@ -402,7 +411,8 @@ def _sweep_main(argv: list[str], *, matrix: bool) -> int:
     apps = _split(args.apps)
     exit_code = EXIT_OK
     for device in devices:
-        runner = _runner(args, device=device)
+        with _usage_errors(parser):
+            runner = _runner(args, device=device)
         try:
             print(
                 _scheme_table(
@@ -466,6 +476,7 @@ def _pareto_main(argv: list[str]) -> int:
     ecc_codes = _split(args.ecc)
     apps = _split(args.apps)
     with _usage_errors(parser):
+        check_run_limits(jobs=args.jobs)
         for scheme in scheme_names:
             resolve_scheme(scheme)
         for code in ecc_codes:
@@ -794,25 +805,25 @@ def _serve_main(argv: list[str]) -> int:
     if args.sse_ring_events is not None and args.sse_ring_events < 1:
         parser.error("--sse-ring-events must be >= 1")
     with _usage_errors(parser):
-        chaos = FaultPlan.parse(args.chaos) if args.chaos else None
-    daemon = ServiceDaemon(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_size=args.queue_size,
-        cache=ResultCache(args.cache_dir, enabled=not args.no_cache),
-        journal_path=args.journal,
-        journal_fsync=args.journal_fsync,
-        sse_ring_events=args.sse_ring_events or DEFAULT_RING_EVENTS,
-        retries=args.retries,
-        cell_timeout=args.cell_timeout,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
-        shed_watermark=args.shed_watermark,
-        chaos=chaos,
-        warehouse_path=args.warehouse,
-        verbose=not args.quiet,
-    )
+        check_run_limits(retries=args.retries, cell_timeout=args.cell_timeout)
+        daemon = ServiceDaemon(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            queue_size=args.queue_size,
+            cache=ResultCache(args.cache_dir, enabled=not args.no_cache),
+            journal_path=args.journal,
+            journal_fsync=args.journal_fsync,
+            sse_ring_events=args.sse_ring_events or DEFAULT_RING_EVENTS,
+            retries=args.retries,
+            cell_timeout=args.cell_timeout,
+            breaker_threshold=args.breaker_threshold,
+            breaker_cooldown=args.breaker_cooldown,
+            shed_watermark=args.shed_watermark,
+            chaos=FaultPlan.parse(args.chaos) if args.chaos else None,
+            warehouse_path=args.warehouse,
+            verbose=not args.quiet,
+        )
     try:
         daemon.run()
     except KeyboardInterrupt:
@@ -1065,7 +1076,7 @@ def _tenants_main(argv: list[str]) -> int:
         mix = TenantMixSpec(tenants=tenants, arbiter=args.arbiter)
         mix.validate()
         _, scheme = resolve_scheme(args.scheme)
-    runner = _runner(args, tenants=mix)
+        runner = _runner(args, tenants=mix)
     label = "+".join(t.workload for t in tenants)
     try:
         report = runner.run(label, scheme)
@@ -1135,13 +1146,6 @@ def _experiments_main(argv: list[str]) -> int:
     )
     _add_flags(parser, "--quiet")
     args = parser.parse_args(argv)
-
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.retries < 0:
-        parser.error("--retries must be >= 0")
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        parser.error("--cell-timeout must be positive")
     with _usage_errors(parser):
         runner = _runner(args)
     apps = tuple(_split(args.apps)) if args.apps else ()

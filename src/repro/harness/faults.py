@@ -332,6 +332,27 @@ class CellAttempts:
         )
 
 
+def check_run_limits(
+    *,
+    jobs: int = 1,
+    retries: int = 0,
+    cell_timeout: Optional[float] = None,
+) -> None:
+    """The one range rule of the flags that size a run and its
+    attempts: ``--jobs`` (worker processes), ``--retries`` (the extra
+    attempts :class:`CellAttempts` grants) and ``--cell-timeout`` (the
+    per-attempt deadline). Raises :class:`ValueError` naming the flag;
+    the CLI reports it as a usage error."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    if retries < 0:
+        raise ValueError(f"--retries must be >= 0, got {retries}")
+    if cell_timeout is not None and not cell_timeout > 0:
+        raise ValueError(
+            f"--cell-timeout must be positive, got {cell_timeout}"
+        )
+
+
 def failure_manifest(failures: list[CellFailure]) -> dict:
     """The structured manifest serialized by the CLI (``--failures-out``)."""
     return {
@@ -349,6 +370,7 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "HarnessError",
+    "check_run_limits",
     "corrupt_blob",
     "failure_manifest",
 ]

@@ -147,15 +147,11 @@ class Job:
     #: True when this job was rebuilt from the journal of a previous
     #: daemon process rather than submitted to this one.
     recovered: bool = False
-    #: True when the result served is a *stale* cached report of a
-    #: related spec, handed out because the execution tier was down.
-    degraded: bool = False
     #: Crash-safe SSE event history (lazily built by the first watcher).
     ring: Optional[Any] = None
     #: The finished report's bytes (``repro.harness.cache.encode_report``)
-    #: held by a job the daemon simulated, its followers, and a degraded
-    #: job served a relative's report. A job answered from the cache
-    #: entry of its own key holds none: its report is re-read by key.
+    #: held by a job the daemon simulated and by its followers. A job
+    #: answered from the cache holds none: its report is re-read by key.
     result: Optional[bytes] = None
     #: Concurrent identical submissions riding on this job's execution.
     followers: list["Job"] = field(default_factory=list)
@@ -286,7 +282,6 @@ class Job:
             "cached": self.cached,
             "coalesced_into": self.coalesced_into,
             "recovered": self.recovered,
-            "degraded": self.degraded,
             "error": self.error,
             "spec": self.spec.to_dict(),
         }

@@ -10,7 +10,9 @@ Admission order for every submission (:meth:`JobQueue.admit`):
 2. **Coalesce** — if an identical spec (same content key) is already
    queued or running, the new job attaches to it as a *follower*: one
    simulation, N answers. This is what makes a thundering herd of
-   identical sweep cells cost one cell.
+   identical sweep cells cost one cell. Only this module attaches,
+   detaches (:meth:`JobQueue.cancel`) and promotes followers, and each
+   follower names the job that runs its simulation.
 3. **Enqueue** — otherwise the job enters the bounded priority heap
    (higher :attr:`~repro.service.jobs.Job.priority` first, FIFO within a
    priority). A full heap raises :class:`QueueFullError`, which the HTTP
@@ -166,10 +168,14 @@ class JobQueue:
     async def cancel(self, job: Job) -> Optional[Job]:
         """Cancel a *queued* job; returns a promoted follower, if any.
 
-        A queued primary with followers does not waste their wait: the
+        A cancelled follower leaves its primary's follower list. A
+        queued primary with followers does not waste their wait: the
         oldest follower is promoted to primary (re-enqueued under its
-        own priority) and inherits the remaining followers. Running or
-        terminal jobs are the daemon's problem, not the queue's.
+        own priority) and inherits the remaining followers, whose
+        :attr:`~repro.service.jobs.Job.coalesced_into` is re-pointed at
+        it, so every follower stays one hop from the job that runs.
+        Running or terminal jobs are the daemon's problem, not the
+        queue's.
         """
         if job.state is not JobState.QUEUED:
             raise JobStateError(
@@ -177,14 +183,21 @@ class JobQueue:
                 "can be cancelled"
             )
         job.transition(JobState.CANCELLED)
+        primary = self._inflight.get(job.key)
+        if job.coalesced_into is not None:
+            if primary is not None and job in primary.followers:
+                primary.followers.remove(job)
+            return None
         promoted: Optional[Job] = None
-        if self._inflight.get(job.key) is job:
+        if primary is job:
             del self._inflight[job.key]
             if job.followers:
                 promoted = job.followers.pop(0)
                 promoted.coalesced_into = None
                 promoted.followers = job.followers
                 job.followers = []
+                for follower in promoted.followers:
+                    follower.coalesced_into = promoted.id
                 async with self._cond:
                     self._seq += 1
                     heapq.heappush(

@@ -32,7 +32,10 @@ A job whose spec asks for telemetry takes the same path: its worker
 sends each :class:`~repro.telemetry.series.WindowSample` over the pool
 pipe as it closes, so SSE watchers see the windows *while the
 simulation is running*, and the job is killed at ``cell_timeout`` and
-takes a chaos ordinal like any other.
+takes a chaos ordinal like any other. Every submission passes the same
+admission stages, so every answer is the report of the submitted
+spec's own content key: a cache hit, a coalesced follower's share, or
+a tier run.
 
 Robustness layers around the tier:
 
@@ -42,10 +45,6 @@ Robustness layers around the tier:
 * **load shedding** — when every tier worker is busy and the queue is
   past its watermark, submissions get an immediate 429 +
   ``Retry-After`` instead of unbounded queueing;
-* **graceful degradation** — with the execution tier down, exact cache
-  hits still serve, related specs get the last completed *stale* report
-  (labeled ``degraded`` + ``X-Repro-Degraded`` header), everything else
-  a 503 with a retry hint;
 * **crash-safe SSE** (:mod:`repro.service.stream`) — each job owns a
   bounded event ring with monotonically increasing ids; any number of
   watchers fan out from one ring and a dropped client reconnects with
@@ -113,7 +112,6 @@ from repro.telemetry.hub import (
     SERVICE_SHED,
     SERVICE_SIMULATIONS,
     SERVICE_SSE_STREAMS,
-    SERVICE_STALE_SERVED,
     SERVICE_SUBMITTED,
 )
 
@@ -146,7 +144,6 @@ _REASONS = {
     422: "Unprocessable Entity",
     429: "Too Many Requests",
     500: "Internal Server Error",
-    503: "Service Unavailable",
 }
 
 
@@ -159,6 +156,12 @@ class ServiceDaemon:
     :class:`~repro.service.workers.WorkerTier` of simulator processes;
     the daemon's executor threads only store reports and read the
     warehouse.
+
+    Every submission takes one admission path (drain check, load
+    shedding, circuit breaker, then :meth:`JobQueue.admit
+    <repro.service.queue.JobQueue.admit>`) and is answered only with
+    the report of its own content key. The queue alone attaches,
+    detaches and promotes coalesced followers.
     """
 
     def __init__(
@@ -210,10 +213,6 @@ class ServiceDaemon:
         #: Supervised process tier (built in :meth:`_serve`); None in
         #: admission-only mode.
         self.tier: Optional[WorkerTier] = None
-        #: (app, scale, seed, scheduler name, device, ecc) -> content
-        #: key of the last *completed* report — the stale-serving index
-        #: of degraded mode.
-        self._family_index: dict[tuple, str] = {}
         #: Every job this daemon knows (live + recovered), by id.
         self.jobs: dict[str, Job] = {}
         self.queue: Optional[JobQueue] = None
@@ -387,15 +386,10 @@ class ServiceDaemon:
         self.journal.record_state(job)
 
     def _execution_of(self, job: Job) -> Job:
-        """The job actually carrying the simulation (follows coalescing)."""
-        seen = set()
-        while job.coalesced_into and job.id not in seen:
-            seen.add(job.id)
-            primary = self.jobs.get(job.coalesced_into)
-            if primary is None:
-                break
-            job = primary
-        return job
+        """The job actually carrying the simulation: a follower's
+        primary (the queue keeps every follower one hop from it), else
+        the job itself."""
+        return self.jobs.get(job.coalesced_into, job)
 
     def _finish_job(
         self,
@@ -422,26 +416,6 @@ class ServiceDaemon:
             else:
                 self._set_state(member, JobState.FAILED)
                 self.hub.inc(SERVICE_FAILED)
-
-    @staticmethod
-    def _family_of(job: Job) -> tuple:
-        """Degraded-mode grouping: specs that are 'the same experiment'
-        modulo tunables — the last completed member is an acceptable
-        stale answer when the execution tier is down."""
-        return (
-            job.app,
-            job.scale,
-            job.seed,
-            job.spec.scheduler.name,
-            job.spec.device,
-            job.spec.ecc,
-        )
-
-    def _note_success(self, job: Job) -> None:
-        """A simulation (or cache hit) for this key completed: reset its
-        breaker history and index it for degraded-mode stale serving."""
-        self.breaker.record_success(job.key)
-        self._family_index[self._family_of(job)] = job.key
 
     def _note_failure(
         self, job: Job, error: Optional[dict], *, fatal: bool
@@ -490,7 +464,7 @@ class ServiceDaemon:
                     fatal=False,
                 )
             else:
-                self._note_success(job)
+                self.breaker.record_success(job.key)
                 self._finish_job(job, result=result, error=None)
             finally:
                 self.queue.note_duration(time.monotonic() - started)
@@ -692,8 +666,6 @@ class ServiceDaemon:
         }
         if self.tier is not None:
             doc["tier"] = self.tier.healthz()
-            if doc["tier"]["state"] != "ok":
-                doc["ok"] = doc["tier"]["state"] != "down"
         else:
             doc["tier"] = {"state": "admission-only", "size": 0}
         return doc
@@ -852,9 +824,6 @@ class ServiceDaemon:
                 headers={"Retry-After": "5"},
             )
             return
-        if self.tier is not None and not self.tier.available:
-            await self._handle_degraded_submit(job, writer)
-            return
         if self._should_shed():
             hint = max(1.0, self.queue.retry_after_hint())
             self.hub.inc(SERVICE_SHED)
@@ -904,7 +873,7 @@ class ServiceDaemon:
         if outcome == ADMIT_CACHED:
             self.journal.record_state(job)
             self.hub.inc(SERVICE_COMPLETED)
-            self._note_success(job)
+            self.breaker.record_success(job.key)
             status = 200
             # A hit keeps no bytes once answered: later reads of the
             # job go back to the cache by key.
@@ -931,57 +900,6 @@ class ServiceDaemon:
             and len(self.queue) >= max(
                 1, int(self.shed_watermark * self.queue_size)
             )
-        )
-
-    async def _handle_degraded_submit(
-        self, job: Job, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve what we can with the execution tier down: exact cache
-        hits normally, a *stale* relative's report with a degraded
-        label, else an honest 503 with a retry hint. A stale job keeps
-        its relative's bytes, which its own key cannot re-read."""
-        result = self.cache.load_bytes(job.key)
-        stale_key = None
-        if result is None:
-            stale_key = self._family_index.get(self._family_of(job))
-            if stale_key is not None:
-                result = self.cache.load_bytes(stale_key)
-        if result is None:
-            self._respond(
-                writer,
-                503,
-                {
-                    "error": "execution tier unavailable and no cached "
-                             "report to serve",
-                    "retry_after": 5.0,
-                },
-                headers={"Retry-After": "5"},
-            )
-            return
-        self.hub.inc(SERVICE_SUBMITTED)
-        self.jobs[job.id] = job
-        self.journal.record_submit(job)
-        job.cached = True
-        degraded = stale_key is not None
-        job.degraded = degraded
-        if degraded:
-            job.result = result
-        job.transition(JobState.DONE)
-        self.journal.record_state(job)
-        self.hub.inc(SERVICE_COMPLETED)
-        headers = {}
-        if degraded:
-            self.hub.inc(SERVICE_STALE_SERVED)
-            headers["X-Repro-Degraded"] = "stale-cache"
-        self._respond(
-            writer,
-            200,
-            {
-                "outcome": "degraded" if degraded else ADMIT_CACHED,
-                "job": job.to_public_dict(),
-            },
-            headers=headers,
-            result=result,
         )
 
     def _result_of(self, job: Job) -> Optional[bytes]:
@@ -1023,14 +941,7 @@ class ServiceDaemon:
             )
             return
         try:
-            if job.coalesced_into is not None:
-                primary = self.jobs.get(job.coalesced_into)
-                if primary is not None and job in primary.followers:
-                    primary.followers.remove(job)
-                job.transition(JobState.CANCELLED)
-                promoted = None
-            else:
-                promoted = await self.queue.cancel(job)
+            promoted = await self.queue.cancel(job)
         except JobStateError as exc:
             self._respond(writer, 409, {"error": str(exc)})
             return

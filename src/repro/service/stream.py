@@ -141,7 +141,6 @@ class EventRing:
                 "id": job.id,
                 "state": state,
                 "cached": job.cached,
-                "degraded": job.degraded,
                 "windows": self._windows_published,
                 "error": job.error,
             }

@@ -68,10 +68,6 @@ DEFAULT_HEARTBEAT_SECONDS = 2.0
 STALE_HEARTBEATS = 5
 
 
-class TierUnavailable(Exception):
-    """The failure of a job that found the tier paused or closed."""
-
-
 class TierExecutionFailed(Exception):
     """A job exhausted its retries on the tier.
 
@@ -111,7 +107,6 @@ class WorkerTier:
         #: Tier-wide dispatch ordinal: jobs in first-dispatch order.
         #: This is the ``cell`` a chaos plan addresses.
         self._dispatches = 0
-        self._paused = False
         self._heartbeat_task: Optional[asyncio.Task] = None
         #: Jobs currently executing (id -> Job), for healthz.
         self.inflight: dict[str, "Job"] = {}
@@ -137,18 +132,6 @@ class WorkerTier:
                 pass
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.pool.close)
-
-    def pause(self) -> None:
-        """Take the execution tier down (degraded-mode switch)."""
-        self._paused = True
-
-    def resume(self) -> None:
-        self._paused = False
-
-    @property
-    def available(self) -> bool:
-        """Whether the tier accepts work right now."""
-        return not self._paused and not self.pool.closed
 
     # ------------------------------------------------------------------
     async def _heartbeat_loop(self) -> None:
@@ -177,17 +160,12 @@ class WorkerTier:
     # Introspection
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
-        """Per-worker tier state for ``/v1/healthz``."""
+        """Per-worker tier state for ``/v1/healthz``: ``state`` is
+        ``degraded`` while some worker slot is not alive, else ``ok``."""
         states = self.pool.worker_states()
         alive = sum(1 for s in states if s.get("alive"))
-        if not self.available:
-            state = "down"
-        elif alive < self.size:
-            state = "degraded"
-        else:
-            state = "ok"
         return {
-            "state": state,
+            "state": "degraded" if alive < self.size else "ok",
             "size": self.size,
             "alive": alive,
             "busy": len(self.inflight),
@@ -213,11 +191,6 @@ class WorkerTier:
             retries=self.retries, backoff=self.retry_backoff,
             index=self._dispatches,
         )
-        if not self.available:
-            record.error = TierUnavailable(
-                "execution tier is paused or closed"
-            )
-            raise TierExecutionFailed(record)
         self._dispatches += 1
         reports: list[SimReport] = []
 

@@ -82,8 +82,6 @@ SERVICE_SIMULATIONS = "service.simulations"
 SERVICE_SSE_STREAMS = "service.sse.streams"
 #: Submissions shed with 429 because the worker tier was saturated.
 SERVICE_SHED = "service.jobs.shed"
-#: Stale-but-labeled cached reports served while the tier was down.
-SERVICE_STALE_SERVED = "service.jobs.stale_served"
 #: Circuits tripped open by consecutive terminal failures of one key.
 SERVICE_BREAKER_OPENED = "service.breaker.opened"
 #: Submissions rejected with 422 while their key's circuit was open.

@@ -175,6 +175,37 @@ def test_unknown_scheme_is_a_usage_error(argv, capsys):
     assert "unknown scheme 'nope'" in capsys.readouterr().err
 
 
+class _Ran(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--jobs", "0"],
+    ["table", "--jobs", "-2"],
+    ["matrix", "--jobs", "0"],
+    ["pareto", "--jobs", "0"],
+    ["tenants", "--tenant", "a=synthetic", "--jobs", "0"],
+    ["serve", "--retries", "-1"],
+    ["serve", "--cell-timeout", "-5"],
+    ["serve", "--breaker-threshold", "0"],
+    ["serve", "--breaker-cooldown", "-1"],
+])
+def test_out_of_range_run_flags_are_usage_errors(argv, monkeypatch, capsys):
+    from repro.harness.runner import Runner
+    from repro.service.server import ServiceDaemon
+
+    def ran(*args, **kwargs):
+        raise _Ran(argv)
+
+    monkeypatch.setattr(Runner, "run", ran)
+    monkeypatch.setattr(Runner, "run_matrix", ran)
+    monkeypatch.setattr(ServiceDaemon, "run", ran)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--quiet"])
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_a_label_works_where_only_ids_did(capsys):
     argv = ["table", "--apps", "synthetic", "--schemes", "Baseline,Dyn-DMS"]
     assert cli.main(argv + QUICK) == cli.EXIT_OK

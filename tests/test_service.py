@@ -494,6 +494,30 @@ def test_cancel_queued_job_and_reject_double_cancel(tmp_path):
         daemon.stop(drain=False)
 
 
+def test_cancel_keeps_every_follower_one_hop_from_its_primary(tmp_path):
+    daemon = _daemon(tmp_path, workers=0, queue_size=4)
+    daemon.start_in_thread()
+    try:
+        client = ServiceClient(port=daemon.port)
+        a, b, c = (
+            client.submit("synthetic", scale=SCALE, seed=23)
+            for _ in range(3)
+        )
+        assert [j["outcome"] for j in (a, b, c)] == \
+            ["queued", "coalesced", "coalesced"]
+        client.cancel(a["id"])
+        # B takes over the key, and C now rides on B, not on A.
+        assert client.job(b["id"])["coalesced_into"] is None
+        assert client.job(c["id"])["coalesced_into"] == b["id"]
+        primary = daemon.jobs[b["id"]]
+        assert daemon._execution_of(daemon.jobs[c["id"]]) is primary
+        assert client.cancel(c["id"])["state"] == "cancelled"
+        assert primary.followers == []
+        assert client.job(b["id"])["state"] == "queued"
+    finally:
+        daemon.stop(drain=False)
+
+
 def test_unknown_job_is_404(tmp_path):
     daemon = _daemon(tmp_path, workers=0)
     daemon.start_in_thread()

@@ -18,12 +18,9 @@ threaded into the tier's worker processes:
    exactly the missed events, a reconnect past the bounded ring's
    tail gets an explicit ``gap`` event, and ``repro-harness watch``
    reconnects after a dropped stream.
-5. **Graceful degradation** — with the tier down, exact cache hits
-   serve normally, a family-mate serves its last completed report
-   labeled ``degraded``, and cold specs get an honest 503.
-6. **Load shedding** — with every worker busy and the queue past its
+5. **Load shedding** — with every worker busy and the queue past its
    watermark, submissions shed with 429 + Retry-After.
-7. **Deadlines and retries** — a hung attempt is killed at
+6. **Deadlines and retries** — a hung attempt is killed at
    ``cell_timeout`` and retried byte-identically (or, with no retries
    left, fails as a fatal ``CellTimeoutError``), and a telemetry job
    takes the same kill, retry and failure paths on the tier, streaming
@@ -49,7 +46,6 @@ from repro.service.server import ServiceDaemon
 from repro.sim.spec import SimSpec
 from repro.telemetry.hub import (
     SERVICE_SHED,
-    SERVICE_STALE_SERVED,
     SERVICE_TIER_RESPAWNS,
     SERVICE_TIER_TIMEOUTS,
 )
@@ -386,52 +382,7 @@ def test_one_running_job_fans_out_to_many_watchers(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# 5: graceful degradation
-# ----------------------------------------------------------------------
-def test_degraded_mode_serves_stale_with_label(tmp_path):
-    daemon = _daemon(tmp_path)
-    daemon.start_in_thread()
-    try:
-        client = ServiceClient(port=daemon.port)
-        spec = _spec()
-        job = client.submit("synthetic", spec=spec, scale=SCALE)
-        client.wait(job["id"], timeout=WAIT)
-
-        daemon.tier.pause()  # the execution tier goes down
-
-        # Exact same spec: a clean cache hit, not degraded.
-        exact = client.submit("synthetic", spec=spec, scale=SCALE)
-        assert exact["state"] == "done"
-        assert exact["degraded"] is False
-
-        # A family-mate (same experiment, one knob differs) gets the
-        # last completed relative's report, labeled stale.
-        mate = _spec(record_activations=False)
-        stale = client.submit("synthetic", spec=mate, scale=SCALE)
-        assert stale["state"] == "done"
-        assert stale["degraded"] is True
-        assert stale["outcome"] == "degraded"
-        assert stale["result"] == client.job(job["id"])["result"]
-
-        # A spec with no cached relative is an honest 503.
-        with pytest.raises(ServiceBusyError):
-            client.submit("synthetic", spec=spec, scale=SCALE, seed=99)
-
-        counters = daemon.hub.snapshot()["counters"]
-        assert counters.get(SERVICE_STALE_SERVED, 0) == 1
-        assert client.healthz()["tier"]["state"] == "down"
-
-        daemon.tier.resume()  # tier back: cold specs execute again
-        cold = client.submit(
-            "synthetic", spec=spec, scale=SCALE, seed=99
-        )
-        assert client.wait(cold["id"], timeout=WAIT)["state"] == "done"
-    finally:
-        daemon.stop()
-
-
-# ----------------------------------------------------------------------
-# 6: load shedding
+# 5: load shedding
 # ----------------------------------------------------------------------
 def test_saturated_tier_sheds_with_retry_after(tmp_path):
     daemon = _daemon(
@@ -471,7 +422,7 @@ def test_saturated_tier_sheds_with_retry_after(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# 7: per-attempt deadlines and retries on the tier, telemetry jobs too
+# 6: per-attempt deadlines and retries on the tier, telemetry jobs too
 # ----------------------------------------------------------------------
 #: Far above a clean synthetic job at ``SCALE``, far below the hang.
 CELL_TIMEOUT = 3.0

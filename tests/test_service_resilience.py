@@ -203,16 +203,6 @@ class TestEventRing:
         assert names == ["state", "state", "done"]
         assert ring.terminal_published
 
-    def test_terminal_summary_carries_degraded_flag(self):
-        ring = EventRing()
-        job = _job()
-        job.degraded = True
-        job.transition(JobState.DONE)
-        ring.sync(job)
-        _, name, data = ring.since(0)[-1]
-        assert name == "done"
-        assert data["degraded"] is True
-
     def test_maxlen_validation(self):
         with pytest.raises(ValueError):
             EventRing(maxlen=0)
