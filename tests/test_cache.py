@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache import L2Cache, L2Outcome, MSHRFile
+from repro.cache import DIRTY_FILL, L2Cache, L2Outcome, MSHRFile
 from repro.config import L2Config
 from repro.errors import SimulationError
 
@@ -115,6 +115,79 @@ class TestL2AccessPath:
         l2.access(0, is_write=True, full_line=True)
         l2.access(128, is_write=True, full_line=True)
         assert l2.occupancy == 2
+
+
+def evict_set0(l2: L2Cache, first_line: int = 8) -> list:
+    """Fill set 0 of :func:`small_l2` with four clean lines, starting
+    at ``first_line``; returns each fill's write-back (line or None)."""
+    writebacks = []
+    for i in range(4):
+        addr = (first_line + 2 * i) * 128
+        assert l2.access(addr, is_write=False, waiter=i).outcome is (
+            L2Outcome.MISS
+        )
+        writebacks.append(l2.fill(addr)[1])
+    return writebacks
+
+
+class TestL2DirtyState:
+    """The three ways a fetched line turns dirty or stays uninstalled:
+    a write hit, a partial store merged into an outstanding read (the
+    :data:`DIRTY_FILL` sentinel), and a cancelled fill."""
+
+    def test_write_hit_dirties_clean_line(self) -> None:
+        l2 = small_l2()
+        l2.access(0, is_write=False, waiter="w")
+        assert l2.fill(0) == (["w"], None)
+        r = l2.access(0, is_write=True)
+        assert r.outcome is L2Outcome.HIT and r.writeback_line is None
+        # Line 0 holds one of set 0's four ways: the fourth fill evicts it.
+        assert evict_set0(l2) == [None, None, None, 0]
+        assert l2.writebacks == 1
+
+    def test_clean_read_hit_stays_clean(self) -> None:
+        l2 = small_l2()
+        l2.access(0, is_write=False, waiter="w")
+        l2.fill(0)
+        assert l2.access(0, is_write=False).outcome is L2Outcome.HIT
+        assert evict_set0(l2) == [None] * 4
+        assert l2.writebacks == 0
+
+    def test_merged_partial_store_fills_dirty(self) -> None:
+        l2 = small_l2()
+        assert l2.access(0, is_write=False, waiter="w0").outcome is (
+            L2Outcome.MISS
+        )
+        r = l2.access(0, is_write=True, full_line=False, waiter=DIRTY_FILL)
+        assert r.outcome is L2Outcome.MISS_MERGED
+        l2.access(0, is_write=False, waiter="w1")
+        waiters, writeback = l2.fill(0)
+        assert waiters == ["w0", "w1"] and writeback is None
+        assert l2.fills == 1
+        assert evict_set0(l2) == [None, None, None, 0]
+        assert l2.writebacks == 1
+
+    def test_partial_store_miss_fills_dirty(self) -> None:
+        l2 = small_l2()
+        r = l2.access(0, is_write=True, full_line=False, waiter=DIRTY_FILL)
+        assert r.outcome is L2Outcome.MISS
+        assert l2.fill(0) == ([], None)
+        assert evict_set0(l2) == [None, None, None, 0]
+
+    def test_cancel_fill_drops_sentinel_and_installs_nothing(self) -> None:
+        l2 = small_l2()
+        l2.access(0, is_write=False, waiter="w0")
+        l2.access(0, is_write=True, full_line=False, waiter=DIRTY_FILL)
+        assert l2.cancel_fill(0) == ["w0"]
+        assert not l2.contains(0)
+        assert l2.occupancy == 0 and l2.fills == 0
+        assert len(l2.mshrs) == 0
+        # The line is gone, not dirty: the next access misses afresh.
+        assert l2.access(0, is_write=False, waiter="w1").outcome is (
+            L2Outcome.MISS
+        )
+        assert l2.fill(0) == (["w1"], None)
+        assert evict_set0(l2) == [None] * 4
 
 
 class TestNearestResidentSearch:
