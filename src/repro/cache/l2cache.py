@@ -52,21 +52,22 @@ class L2Outcome(enum.Enum):
     STALL = "stall"  # MSHR file full -> caller must retry
 
 
-@dataclass(slots=True)
-class LineState:
-    """Metadata of a resident line."""
-
-    line_addr: int
-    dirty: bool = False
-
-
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class L2AccessResult:
     """Outcome of :meth:`L2Cache.access` plus any side effects."""
 
     outcome: L2Outcome
     #: Line address of a dirty eviction (a DRAM write-back), if any.
     writeback_line: Optional[int] = None
+
+
+# Every outcome without a write-back is one shared immutable result, so
+# an access allocates a result only when it evicts a dirty line.
+_HIT = L2AccessResult(L2Outcome.HIT)
+_MISS = L2AccessResult(L2Outcome.MISS)
+_MISS_MERGED = L2AccessResult(L2Outcome.MISS_MERGED)
+_MISS_NO_FETCH = L2AccessResult(L2Outcome.MISS_NO_FETCH)
+_STALL = L2AccessResult(L2Outcome.STALL)
 
 
 class L2Cache:
@@ -77,9 +78,9 @@ class L2Cache:
         self.num_sets = config.num_sets
         self.assoc = config.associativity
         self.line_bytes = config.line_bytes
-        # Per-set LRU: OrderedDict maps line_addr -> LineState,
-        # most-recently-used at the end.
-        self._sets: list[OrderedDict[int, LineState]] = [
+        # Per-set LRU: OrderedDict maps a resident line address to its
+        # dirty flag, most-recently-used at the end.
+        self._sets: list[OrderedDict[int, bool]] = [
             OrderedDict() for _ in range(self.num_sets)
         ]
         self.mshrs = MSHRFile(config.mshr_entries)
@@ -117,28 +118,30 @@ class L2Cache:
         """
         line = self.line_of(addr)
         way = self._sets[self.set_of(line)]
-        state = way.get(line)
-        if state is not None:
+        if line in way:
             way.move_to_end(line)
             if is_write:
-                state.dirty = True
+                way[line] = True
             self.hits += 1
-            return L2AccessResult(L2Outcome.HIT)
+            return _HIT
 
         self.misses += 1
-        if self.mshrs.lookup(line) is not None:
-            self.mshrs.merge(line, waiter)
-            return L2AccessResult(L2Outcome.MISS_MERGED)
+        mshrs = self.mshrs
+        if mshrs.lookup(line) is not None:
+            mshrs.merge(line, waiter)
+            return _MISS_MERGED
 
         if is_write and full_line:
             # Allocate directly; no fetch needed for a fully written line.
             writeback = self._insert(line, dirty=True)
+            if writeback is None:
+                return _MISS_NO_FETCH
             return L2AccessResult(L2Outcome.MISS_NO_FETCH, writeback)
 
-        if self.mshrs.full:
-            return L2AccessResult(L2Outcome.STALL)
-        self.mshrs.allocate(line, waiter)
-        return L2AccessResult(L2Outcome.MISS)
+        if mshrs.full:
+            return _STALL
+        mshrs.allocate(line, waiter)
+        return _MISS
 
     def fill(
         self, addr: int, *, mark_dirty: bool = False
@@ -152,7 +155,7 @@ class L2Cache:
         """
         line = self.line_of(addr)
         waiters = self.mshrs.complete(line)
-        if any(w is DIRTY_FILL for w in waiters):
+        if DIRTY_FILL in waiters:
             mark_dirty = True
             waiters = [w for w in waiters if w is not DIRTY_FILL]
         writeback = self._insert(line, dirty=mark_dirty)
@@ -173,11 +176,11 @@ class L2Cache:
         way = self._sets[self.set_of(line)]
         writeback = None
         if len(way) >= self.assoc:
-            victim_addr, victim = way.popitem(last=False)
-            if victim.dirty:
+            victim, victim_dirty = way.popitem(last=False)
+            if victim_dirty:
                 self.writebacks += 1
-                writeback = victim_addr
-        way[line] = LineState(line_addr=line, dirty=dirty)
+                writeback = victim
+        way[line] = dirty
         return writeback
 
     # ------------------------------------------------------------------

@@ -56,9 +56,11 @@ class MSHRFile:
             )
         if self.full:
             raise SimulationError("MSHR file is full")
-        entry = MSHREntry(line_addr=line_addr, waiters=[waiter])
+        entry = MSHREntry(line_addr, [waiter])
         self._entries[line_addr] = entry
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
+        occupancy = len(self._entries)
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
         return entry
 
     def merge(self, line_addr: int, waiter: Any) -> MSHREntry:

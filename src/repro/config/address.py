@@ -18,8 +18,10 @@ The decode pipeline for a 128-byte request address is::
 
 :meth:`AddressMapping.decode_fields` is the one copy of this pipeline.
 It decodes a single address, or an int64 numpy array of them in one
-call (trace generation decodes an array's whole line range at once);
-:meth:`AddressMapping.decode` wraps it for one request.
+call (trace generation decodes an array's whole line range at once).
+The simulator builds each DRAM request from it
+(:meth:`~repro.dram.request.MemoryRequest.from_address`);
+:meth:`AddressMapping.decode` wraps it in a :class:`DecodedAddress`.
 """
 
 from __future__ import annotations

@@ -44,33 +44,42 @@ class Bank:
 
     def earliest_activate_time(self, now: float) -> float:
         """Earliest legal ACT issue time considering only this bank."""
-        return max(now, self.earliest_act)
+        return self.earliest_act if self.earliest_act > now else now
 
     def earliest_precharge_time(self, now: float) -> float:
         """Earliest legal PRE issue time considering only this bank."""
-        return max(now, self.earliest_pre)
+        return self.earliest_pre if self.earliest_pre > now else now
 
     def earliest_column_time(self, now: float, is_write: bool) -> float:
         """Earliest legal RD/WR issue time considering only this bank."""
         limit = self.earliest_col_wr if is_write else self.earliest_col_rd
-        return max(now, limit)
+        return limit if limit > now else now
 
     def do_activate(self, row: int, t: float) -> None:
         """Apply an ACT issued at ``t`` opening ``row``."""
+        # Each window keeps the later time: max() without the call.
         tm = self.timings
         self.open_row = row
         self.last_act_time = t
-        self.earliest_col_rd = max(self.earliest_col_rd, t + tm.tRCD)
-        self.earliest_col_wr = max(self.earliest_col_wr, t + tm.tRCD)
-        self.earliest_pre = max(self.earliest_pre, t + tm.tRAS)
-        self.earliest_act = max(self.earliest_act, t + tm.tRC)
+        col = t + tm.tRCD
+        if col > self.earliest_col_rd:
+            self.earliest_col_rd = col
+        if col > self.earliest_col_wr:
+            self.earliest_col_wr = col
+        pre = t + tm.tRAS
+        if pre > self.earliest_pre:
+            self.earliest_pre = pre
+        act = t + tm.tRC
+        if act > self.earliest_act:
+            self.earliest_act = act
         self.accesses_this_activation = 0
 
     def do_precharge(self, t: float) -> None:
         """Apply a PRE issued at ``t``; the bank becomes closed."""
-        tm = self.timings
         self.open_row = NO_ROW
-        self.earliest_act = max(self.earliest_act, t + tm.tRP)
+        act = t + self.timings.tRP
+        if act > self.earliest_act:
+            self.earliest_act = act
 
     def do_column(self, t: float, is_write: bool, data_end: float) -> None:
         """Apply a RD/WR issued at ``t`` whose data burst ends at ``data_end``."""
@@ -78,8 +87,12 @@ class Bank:
         self.accesses_this_activation += 1
         if is_write:
             # Write recovery gates PRE; tCDLR gates a following read.
-            self.earliest_pre = max(self.earliest_pre, data_end + tm.tWR)
-            self.earliest_col_rd = max(self.earliest_col_rd, data_end + tm.tCDLR)
+            pre = data_end + tm.tWR
+            col = data_end + tm.tCDLR
+            if col > self.earliest_col_rd:
+                self.earliest_col_rd = col
         else:
             # Approximate read-to-precharge (tRTP) with the burst length.
-            self.earliest_pre = max(self.earliest_pre, t + tm.tBURST)
+            pre = t + tm.tBURST
+        if pre > self.earliest_pre:
+            self.earliest_pre = pre

@@ -74,7 +74,11 @@ class Channel:
     def column_ready_time(self, bank: Bank, is_write: bool, now: float) -> float:
         """Earliest issue time for a RD/WR to the open row of ``bank``."""
         t = bank.earliest_column_time(now, is_write)
-        t = max(t, self._group_earliest_col[bank.bank_group], self._next_cmd_time)
+        group = self._group_earliest_col[bank.bank_group]
+        if group > t:
+            t = group
+        if self._next_cmd_time > t:
+            t = self._next_cmd_time
         data_start = t + self.table.cas[is_write]
         if data_start < self._bus_free:
             t += self._bus_free - data_start
@@ -82,15 +86,18 @@ class Channel:
 
     def precharge_ready_time(self, bank: Bank, now: float) -> float:
         """Earliest legal PRE issue time for an open bank."""
-        return max(bank.earliest_precharge_time(now), self._next_cmd_time)
+        t = bank.earliest_precharge_time(now)
+        return self._next_cmd_time if self._next_cmd_time > t else t
 
     def activate_ready_time(self, bank: Bank, now: float) -> float:
         """Earliest legal ACT issue time for a closed bank."""
-        return max(
-            bank.earliest_activate_time(now),
-            self._last_act_any + self.table.tRRD,
-            self._next_cmd_time,
-        )
+        t = bank.earliest_activate_time(now)
+        rrd = self._last_act_any + self.table.tRRD
+        if rrd > t:
+            t = rrd
+        if self._next_cmd_time > t:
+            t = self._next_cmd_time
+        return t
 
     # ------------------------------------------------------------------
     # Command execution

@@ -36,6 +36,9 @@ class MemoryRequest:
         a time stamp when it enters the pending queue").
     channel/bank/bank_group/row/column:
         Decoded DRAM coordinates.
+    bank_row:
+        ``(bank, row)``, the key for row-hit matching within a channel;
+        derived once at construction.
     tag:
         Opaque workload token mapping the request back to kernel data
         elements; used by the approximation-replay pipeline.
@@ -58,6 +61,10 @@ class MemoryRequest:
     tag: Any = None
     tenant_id: int = 0
     rid: int = field(default_factory=lambda: next(_rids))
+    bank_row: tuple[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.bank_row = (self.bank, self.row)
 
     @classmethod
     def from_address(
@@ -71,27 +78,15 @@ class MemoryRequest:
         tag: Any = None,
         tenant_id: int = 0,
     ) -> "MemoryRequest":
-        """Build a request by decoding ``addr`` with ``mapping``."""
-        d = mapping.decode(addr)
+        """Build a request by decoding ``addr`` with ``mapping``, one
+        :meth:`~AddressMapping.decode_fields` and no ``DecodedAddress``
+        (this runs once per DRAM request)."""
+        channel, bank, row, column = mapping.decode_fields(addr)
         return cls(
-            addr=addr,
-            is_write=is_write,
-            channel=d.channel,
-            bank=d.bank,
-            bank_group=d.bank_group,
-            row=d.row,
-            column=d.column,
-            approximable=approximable and not is_write,
-            arrival_time=arrival_time,
-            enqueue_time=arrival_time,
-            tag=tag,
-            tenant_id=tenant_id,
+            addr, is_write, channel, bank, mapping.bank_group_of(bank),
+            row, column, approximable and not is_write, arrival_time,
+            arrival_time, tag, tenant_id, next(_rids),
         )
-
-    @property
-    def bank_row(self) -> tuple[int, int]:
-        """The (bank, row) key used for row-hit matching within a channel."""
-        return (self.bank, self.row)
 
     def age(self, now: float) -> float:
         """Cycles this request has spent in the pending queue."""

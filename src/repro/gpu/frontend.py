@@ -117,7 +117,10 @@ class GPUFrontend:
 
     def _issue(self, warp: Warp, op: WarpOp) -> None:
         rt = self._rt[warp.warp_id]
-        loads = sum(1 for a in op.accesses if not a.is_write)
+        loads = 0
+        for access in op.accesses:
+            if not access.is_write:
+                loads += 1
         if loads:
             rt.pending.append([op, loads])
             warp.outstanding_loads += loads

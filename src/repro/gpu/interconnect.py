@@ -31,7 +31,9 @@ class Crossbar:
     def deliver(self, port: int, fn) -> None:
         """Send a packet toward ``port``; ``fn`` runs on arrival."""
         now = self._engine.now
-        start = max(now, self._port_free[port])
+        start = self._port_free[port]
+        if now >= start:  # max(now, start) without the call
+            start = now
         self._port_free[port] = start + self._port_cycles
         self._engine.at(start + self._latency, fn)
 

@@ -70,6 +70,11 @@ class MemoryController:
         self.engine = engine
         self.reply_fn = reply_fn
         self.predictor = predictor
+        # Like ``on_issue`` below: a predictor that keeps the base
+        # class's no-op ``on_fill`` is not called once per served read.
+        self._on_fill = predictor.on_fill if predictor is not None and (
+            type(predictor).on_fill is not ValuePredictor.on_fill
+        ) else None
         #: Per-tenant accounting; installed by ``attach_tenants`` for
         #: multi-tenant runs, ``None`` (zero-cost guards) otherwise.
         self.tenants = None
@@ -84,6 +89,7 @@ class MemoryController:
         # the selector (B) is chosen by ``sched_config.arbiter``.
         self.dms = DMSUnit(sched_config.dms)
         self.ams = AMSUnit(sched_config.ams)
+        self._may_drop = self.ams.may_drop
         self._install(make_selector(sched_config.arbiter, sched_config))
         self.drops: list[DropRecord] = []
         self._next_wake: Optional[float] = None
@@ -144,6 +150,7 @@ class MemoryController:
         """Bind ``selector`` to this controller and serve with it."""
         selector.bind(queue=self.queue, channel=self.channel, dms=self.dms)
         self.selector = selector
+        self._select = selector.select
         # Stateless selectors don't override on_issue; skip the call
         # entirely for them (the service loop is the hottest path).
         self._notify_issue: Optional[Callable] = (
@@ -222,9 +229,9 @@ class MemoryController:
         now = self.engine.now
         channel = self.channel
         queue = self.queue
-        select = self.selector.select
+        select = self._select
         notify = self._notify_issue
-        may_drop = self.ams.may_drop
+        may_drop = self._may_drop
         tenants = self.tenants
         refresh_enabled = channel.refresh_enabled
         best = cached
@@ -276,8 +283,8 @@ class MemoryController:
         if self.tenants is not None:
             self.tenants.on_served(request)
         if not request.is_write:
-            if self.predictor is not None:
-                self.predictor.on_fill(request.addr // self._line_bytes)
+            if self._on_fill is not None:
+                self._on_fill(request.addr // self._line_bytes)
             self.engine.at(
                 data_end, lambda r=request: self.reply_fn(r, False, None)
             )

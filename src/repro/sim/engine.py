@@ -60,7 +60,11 @@ class Engine:
         """Schedule ``fn`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.at(self.now + delay, fn)
+        # ``at`` inlined: ``now + delay`` never needs its clamp.
+        seq = self._seq
+        self._seq = seq + 1
+        self._push(self.now + delay, seq, fn)
+        return seq
 
     def cancel(self, handle: int) -> None:
         """Invalidate a scheduled event; it is dropped when it surfaces.
