@@ -3,9 +3,18 @@
 import pytest
 
 from repro.cache import L2Cache
-from repro.config import AddressMapping, L2Config, VPConfig
-from repro.dram import MemoryRequest
+from repro.config import (
+    AddressMapping,
+    GPUConfig,
+    L2Config,
+    VPConfig,
+    baseline_scheduler,
+    gddr5_timings,
+)
+from repro.dram import Channel, MemoryRequest
 from repro.errors import ConfigError
+from repro.sched import MemoryController
+from repro.sim.engine import Engine
 from repro.vp import (
     LastValuePredictor,
     NearestLinePredictor,
@@ -56,6 +65,35 @@ class TestOtherPredictors:
     def test_oracle_returns_own_line(self) -> None:
         vp = OraclePredictor(line_bytes=128)
         assert vp.predict(read_request(5 * 128)) == 5
+
+
+class TestControllerFillHook:
+    """The controller tells a predictor each served read's line only when
+    the predictor overrides the base class's no-op ``on_fill``."""
+
+    def serve_read(self, predictor, addr: int) -> MemoryController:
+        config = GPUConfig()
+        engine = Engine()
+        mc = MemoryController(
+            Channel(0, config.mapping, gddr5_timings()),
+            config=config, sched_config=baseline_scheduler(), engine=engine,
+            reply_fn=lambda request, approx, donor: None, predictor=predictor,
+        )
+        request = read_request(addr)
+        engine.at(0.0, lambda: mc.submit(request))
+        engine.run()
+        assert mc.channel.stats.reads_served == 1
+        return mc
+
+    def test_history_predictor_sees_each_served_read(self) -> None:
+        vp = LastValuePredictor()
+        self.serve_read(vp, 6 * 256)  # channel 0, line 12
+        assert vp.predict(read_request(0)) == 12
+
+    @pytest.mark.parametrize("kind", ["nearest_line", "zero", "oracle"])
+    def test_stateless_predictor_is_not_called(self, kind) -> None:
+        vp = make_predictor(VPConfig(kind=kind), small_l2())
+        assert self.serve_read(vp, 6 * 256)._on_fill is None
 
 
 class TestFactory:
