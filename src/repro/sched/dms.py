@@ -77,9 +77,8 @@ class DMSUnit:
 
     def earliest_eligible(self, enqueue_time: float) -> float:
         """Earliest time a row-opening request with this enqueue time may
-        be considered for scheduling."""
-        if not self.enabled:
-            return enqueue_time
+        be considered for scheduling. With DMS off the delay stays 0.0
+        for the whole run, so this returns ``enqueue_time`` unchanged."""
         return enqueue_time + self._delay
 
     # ------------------------------------------------------------------

@@ -4,35 +4,36 @@ Events execute in strict ``(time, insertion sequence)`` order; all times
 are in *memory clock cycles* (see DESIGN.md §5). Insertion order breaks
 ties, making runs fully deterministic.
 
-The ordering structure is the bucketed timer wheel of
-:mod:`repro.sim.events`. It uses tombstone cancellation: :meth:`Engine.at`
-returns an opaque handle that :meth:`Engine.cancel` invalidates in O(1)
-by blanking the entry's slot; a tombstoned entry is discarded unexecuted
-— and uncounted — when it surfaces, so superseded wake-ups cost one pop
-instead of a full callback, and :attr:`live_event_count` stays exact.
+The order is one binary heap (:mod:`heapq`) of ``(time, seq)`` keys;
+``seq`` is unique, so the heap defines the total order directly. The
+callbacks live beside it in a ``seq -> fn`` dict of the live events,
+which makes cancellation an O(1) tombstone: :meth:`Engine.at` returns
+``seq`` as a handle, :meth:`Engine.cancel` drops its callback, and the
+key left in the heap is popped unexecuted — and uncounted — when it
+surfaces. Superseded wake-ups thus cost one pop instead of a callback,
+and :attr:`live_event_count` is the dict's exact size.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import WheelScheduler
 
 Event = Callable[[], None]
 
+_INF = float("inf")
+
 
 class Engine:
-    """Deterministic event-driven simulation core.
+    """Deterministic event-driven simulation core."""
 
-    ``scheduler`` replaces the timer wheel with any object offering its
-    ``push``/``cancel``/``head``/``drain``/``live`` interface (the tests
-    inject a plain binary heap as the wheel's differential oracle).
-    """
-
-    def __init__(self, scheduler=None) -> None:
-        self._sched = scheduler if scheduler is not None else WheelScheduler()
-        self._push = self._sched.push  # hoisted: one call per event
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int]] = []
+        #: seq -> callback of every scheduled, uncancelled, unexecuted
+        #: event; a heap key whose seq is missing here is a tombstone.
+        self._pending: dict[int, Event] = {}
         self._seq = 0
         self.now: float = 0.0
         self.events_processed = 0
@@ -51,34 +52,37 @@ class Engine:
         """
         if time < self.now:
             time = self.now
+        elif not time < _INF:  # a NaN breaks the heap order, inf the clock
+            raise SimulationError(f"non-finite event time: {time!r}")
         seq = self._seq
         self._seq = seq + 1
-        self._push(time, seq, fn)
+        self._pending[seq] = fn
+        heappush(self._heap, (time, seq))
         return seq
 
     def after(self, delay: float, fn: Event) -> int:
         """Schedule ``fn`` to run ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        if not 0 <= delay < _INF:
+            raise SimulationError(
+                f"negative delay: {delay}" if delay < 0
+                else f"non-finite event delay: {delay!r}"
+            )
         # ``at`` inlined: ``now + delay`` never needs its clamp.
         seq = self._seq
         self._seq = seq + 1
-        self._push(self.now + delay, seq, fn)
+        self._pending[seq] = fn
+        heappush(self._heap, (self.now + delay, seq))
         return seq
 
     def cancel(self, handle: int) -> None:
         """Invalidate a scheduled event; it is dropped when it surfaces.
 
-        Cancelling a handle that already executed (or was never issued)
-        is harmless and leaves the live-event count untouched.
+        Cancelling a handle that already executed, was already
+        cancelled or was never issued is harmless: it changes neither
+        the live-event count nor ``events_cancelled``.
         """
-        self._sched.cancel(handle)
-        self.events_cancelled += 1
-
-    @property
-    def idle(self) -> bool:
-        """True when no live events remain."""
-        return self._sched.head() is None
+        if self._pending.pop(handle, None) is not None:
+            self.events_cancelled += 1
 
     @property
     def live_event_count(self) -> int:
@@ -86,7 +90,7 @@ class Engine:
         excluded. Telemetry's window recorder uses this to decide
         whether re-arming itself would keep an otherwise-drained
         schedule alive."""
-        return self._sched.live
+        return len(self._pending)
 
     @property
     def events_scheduled(self) -> int:
@@ -99,36 +103,31 @@ class Engine:
         """
         return self._seq
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None when idle."""
-        entry = self._sched.head()
-        return entry[0] if entry is not None else None
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Process events until the schedule drains, ``until`` is passed,
-        or ``max_events`` have run (a deadlock/runaway guard).
-
-        The loop itself lives in the scheduler's ``drain`` (which
-        inlines its own structures); this wrapper folds the processed
-        count in and raises the livelock guard.
-        """
-        processed, overflowed = self._sched.drain(self, until, max_events)
+    def run(self, max_events: Optional[int] = None) -> None:
+        """Process events until the schedule drains, or raise once
+        ``max_events`` have run (a deadlock/runaway guard)."""
+        heap = self._heap
+        take = self._pending.pop
+        processed = 0
+        while heap:
+            time, seq = heappop(heap)
+            fn = take(seq, None)
+            if fn is None:  # tombstone
+                continue
+            self.now = time
+            fn()
+            processed += 1
+            if max_events is not None and processed >= max_events:
+                self.events_processed += processed
+                raise SimulationError(self._overflow_message(max_events))
         self.events_processed += processed
-        if overflowed:
-            raise SimulationError(self._overflow_message(max_events))
-        if until is not None and self.now < until:
-            self.now = until
 
     def _overflow_message(self, max_events: int) -> str:
         """Diagnostic snapshot for the ``max_events`` livelock guard."""
         detail = (
             f"exceeded max_events={max_events}; possible simulation "
             f"livelock (cycle={self.now:.0f}, "
-            f"live_events={self._sched.live}, "
+            f"live_events={len(self._pending)}, "
             f"total_processed={self.events_processed})"
         )
         if self.diagnostics is not None:

@@ -37,23 +37,21 @@ class TestEngine:
         with pytest.raises(SimulationError):
             e.after(-1, lambda: None)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, bad: float) -> None:
+        e = Engine()
+        with pytest.raises(SimulationError):
+            e.at(bad, lambda: None)
+        with pytest.raises(SimulationError):
+            e.after(bad, lambda: None)
+        assert e.live_event_count == 0
+
     def test_past_schedule_clamped_to_now(self) -> None:
         e = Engine()
         seen: list[float] = []
         e.at(10, lambda: e.at(3, lambda: seen.append(e.now)))
         e.run()
         assert seen == [10]
-
-    def test_run_until_stops_and_advances_clock(self) -> None:
-        e = Engine()
-        log: list[float] = []
-        e.at(5, lambda: log.append(5))
-        e.at(50, lambda: log.append(50))
-        e.run(until=20)
-        assert log == [5]
-        assert e.now == 20
-        e.run()
-        assert log == [5, 50]
 
     def test_max_events_guard(self) -> None:
         e = Engine()
@@ -64,14 +62,6 @@ class TestEngine:
         e.at(0, loop)
         with pytest.raises(SimulationError):
             e.run(max_events=100)
-
-    def test_idle_and_peek(self) -> None:
-        e = Engine()
-        assert e.idle
-        assert e.peek_time() is None
-        e.at(4, lambda: None)
-        assert not e.idle
-        assert e.peek_time() == 4
 
 
 class TestCancellation:
@@ -93,34 +83,12 @@ class TestCancellation:
         assert e.events_processed == 2
         assert e.events_cancelled == 1
 
-    def test_cancel_clears_idle_and_peek(self) -> None:
-        e = Engine()
-        handle = e.at(4, lambda: None)
-        e.cancel(handle)
-        assert e.idle
-        assert e.peek_time() is None
-
-    def test_peek_skips_cancelled_head(self) -> None:
-        e = Engine()
-        first = e.at(2, lambda: None)
-        e.at(9, lambda: None)
-        e.cancel(first)
-        assert e.peek_time() == 9
-
     def test_cancel_unknown_handle_is_harmless(self) -> None:
         e = Engine()
         e.cancel(12345)
-        e.at(1, lambda: None)
+        handle = e.at(1, lambda: None)
         e.run()
+        e.cancel(handle)  # already executed
         assert e.events_processed == 1
-
-    def test_cancelled_event_not_run_by_until(self) -> None:
-        e = Engine()
-        log: list[float] = []
-        handle = e.at(3, lambda: log.append(e.now))
-        e.at(7, lambda: log.append(e.now))
-        e.cancel(handle)
-        e.run(until=5)
-        assert log == []
-        e.run()
-        assert log == [7]
+        assert e.events_cancelled == 0
+        assert e.live_event_count == 0

@@ -1,15 +1,16 @@
-"""Property suites for the engine's timer wheel and the warm pool.
+"""Property suites for the engine's event order and the warm pool.
 
 Two families:
 
-* **Wheel vs. heap equivalence** — the bucketed timer wheel is the
-  engine's scheduler purely as an optimization; a single global binary
-  heap (:class:`HeapScheduler`, below) is the reference. Hypothesis
-  drives both through identical schedules (fractional times,
-  past-clamped times, overflow beyond the wheel horizon, nested pushes
-  from callbacks, cancellation — including cancellation *during* the
-  run — plus ``until`` cutoffs and the ``max_events`` guard) and asserts
-  the execution logs are identical event for event.
+* **Engine vs. naive oracle** — the engine's one contract is the event
+  order ``(time, insertion seq)``. :class:`NaiveEngine`, below, spells
+  that order out with no heap: each step scans every live event for
+  the smallest ``(time, seq)``. Hypothesis drives both through
+  identical schedules (fractional times, past-clamped times, nested
+  pushes from callbacks, cancellation — including cancellation
+  *during* the run and of handles that already ran or were already
+  cancelled — plus the ``max_events`` guard) and asserts every
+  observable is identical event for event.
 * **Warm-pool determinism** — a matrix simulated serially and over warm
   worker processes must produce field-identical reports (the codec
   round trip is load-bearing here).
@@ -17,109 +18,73 @@ Two families:
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Optional
+from typing import Callable, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
-from repro.sim.events import WHEEL_HORIZON, Entry, Event
+
+Event = Callable[[], None]
 
 
-class HeapScheduler:
-    """Single global binary heap ordered by ``(time, seq)``: the obvious
-    scheduler, kept here as the wheel's differential oracle. Same
-    interface and tombstone cancellation as
-    :class:`~repro.sim.events.WheelScheduler`."""
-
-    __slots__ = ("_heap", "_entries", "live")
+class NaiveEngine:
+    """The engine's API over a plain ``seq -> (time, fn)`` dict; ``run``
+    scans it for the smallest ``(time, seq)`` on every step. Shares no
+    code with :class:`~repro.sim.engine.Engine`."""
 
     def __init__(self) -> None:
-        self._heap: list[Entry] = []
-        #: handle (seq) -> live entry, for O(1) tombstone cancellation.
-        self._entries: dict[int, Entry] = {}
-        #: Live (scheduled, uncancelled, unexecuted) entry count.
-        self.live = 0
+        self._events: dict[int, tuple[float, Event]] = {}
+        self._seq = 0
+        self.now: float = 0.0
+        self.events_processed = 0
+        self.events_cancelled = 0
 
-    def push(self, time: float, seq: int, fn: Event) -> None:
-        entry = [time, seq, fn]
-        self._entries[seq] = entry
-        heappush(self._heap, entry)
-        self.live += 1
+    def at(self, time: float, fn: Event) -> int:
+        seq = self._seq
+        self._seq += 1
+        self._events[seq] = (max(time, self.now), fn)
+        return seq
 
-    def cancel(self, seq: int) -> bool:
-        entry = self._entries.pop(seq, None)
-        if entry is None:
-            return False
-        entry[2] = None
-        self.live -= 1
-        return True
+    def after(self, delay: float, fn: Event) -> int:
+        assert delay >= 0
+        return self.at(self.now + delay, fn)
 
-    def head(self) -> Optional[Entry]:
-        heap = self._heap
-        while heap:
-            if heap[0][2] is None:
-                heappop(heap)
-            else:
-                return heap[0]
-        return None
+    def cancel(self, handle: int) -> None:
+        if self._events.pop(handle, None) is not None:
+            self.events_cancelled += 1
 
-    def drain(
-        self,
-        engine,
-        until: Optional[float],
-        max_events: Optional[int],
-    ) -> tuple[int, bool]:
-        """Run the event loop; returns ``(processed, hit_max_events)``.
+    @property
+    def live_event_count(self) -> int:
+        return len(self._events)
 
-        Semantically identical to repeated head/pop_head calls — same
-        ``(time, seq)`` order, same ``until`` cutoff *before* the pop —
-        with the backend internals inlined into the loop.
-        """
-        heap = self._heap
-        entries = self._entries
-        processed = 0
-        while heap:
-            entry = heap[0]
-            fn = entry[2]
-            if fn is None:
-                heappop(heap)
-                continue
-            time = entry[0]
-            if until is not None and time > until:
-                break
-            heappop(heap)
-            del entries[entry[1]]
-            self.live -= 1
-            engine.now = time
+    def run(self, max_events: Optional[int] = None) -> None:
+        events = self._events
+        while events:
+            seq = min(events, key=lambda s: (events[s][0], s))
+            self.now, fn = events.pop(seq)
             fn()
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                return processed, True
-        return processed, False
+            self.events_processed += 1
+            if max_events is not None and self.events_processed >= max_events:
+                raise SimulationError(f"exceeded max_events={max_events}")
 
 
+#: Upper bound of the drawn times and delays: wide enough that a
+#: schedule mixes dense same-cycle ties with sparse far-future events.
+_SPAN = 1000.0
 
-def _engine(backend: str) -> Engine:
-    """An engine on the wheel (``"wheel"``) or the oracle (``"heap"``)."""
-    return Engine(HeapScheduler()) if backend == "heap" else Engine()
-
-
-# Times span the wheel generously: fractional sub-cycle offsets (the
-# core-to-memory clock ratio makes most real event times non-integral),
-# plus values far beyond the horizon to force the overflow heap and the
-# batch-advance path.
+# Fractional sub-cycle offsets matter: the core-to-memory clock ratio
+# makes most real event times non-integral. Small integers force ties.
 _times = st.one_of(
     st.integers(0, 50).map(float),
-    st.floats(min_value=0.0, max_value=3.0 * WHEEL_HORIZON,
+    st.floats(min_value=0.0, max_value=_SPAN,
               allow_nan=False, allow_infinity=False),
     st.floats(min_value=0.0, max_value=40.0,
               allow_nan=False, allow_infinity=False),
 )
 
-_delays = st.floats(min_value=0.0, max_value=2.0 * WHEEL_HORIZON,
+_delays = st.floats(min_value=0.0, max_value=_SPAN,
                     allow_nan=False, allow_infinity=False)
 
 
@@ -127,17 +92,22 @@ _delays = st.floats(min_value=0.0, max_value=2.0 * WHEEL_HORIZON,
 def _schedules(draw):
     """A schedule: initial events with nested pushes and cancellations.
 
-    Each event is ``(time, nested_delays, cancel_target)``: when it
-    runs, it schedules a follow-up per nested delay and (optionally)
-    cancels the initial event ``cancel_target`` — which may already
-    have run or been cancelled, both no-ops that must stay no-ops on
-    either backend.
+    Each event is ``(time, nested, cancel_target)``: when it runs, it
+    schedules a follow-up per nested ``("after", delay)`` or ``("at",
+    time)`` — an absolute time that is often already past and clamps to
+    ``now`` — and (optionally) cancels the initial event
+    ``cancel_target``, which may already have run or been cancelled,
+    both no-ops that must stay no-ops.
     """
     n = draw(st.integers(min_value=1, max_value=30))
     events = []
     for _ in range(n):
         time = draw(_times)
-        nested = draw(st.lists(_delays, max_size=2))
+        nested = draw(st.lists(
+            st.one_of(st.tuples(st.just("after"), _delays),
+                      st.tuples(st.just("at"), _times)),
+            max_size=2,
+        ))
         cancel_target = draw(
             st.one_of(st.none(), st.integers(0, n - 1))
         )
@@ -148,9 +118,9 @@ def _schedules(draw):
     return events, pre_cancels
 
 
-def _execute(backend, events, pre_cancels, *, until=None, max_events=None):
-    """Run one schedule on ``backend``; returns every observable."""
-    engine = _engine(backend)
+def _execute(make_engine, events, pre_cancels, *, max_events=None):
+    """Run one schedule on a fresh engine; returns every observable."""
+    engine = make_engine()
     log: list[tuple[float, object]] = []
     handles: list[int] = []
 
@@ -159,8 +129,10 @@ def _execute(backend, events, pre_cancels, *, until=None, max_events=None):
             log.append((engine.now, label))
             if cancel_target is not None and cancel_target < len(handles):
                 engine.cancel(handles[cancel_target])
-            for j, delay in enumerate(nested):
-                engine.after(delay, make_callback((label, j), (), None))
+            for j, (method, when) in enumerate(nested):
+                getattr(engine, method)(
+                    when, make_callback((label, j), (), None)
+                )
         return callback
 
     for i, (time, nested, cancel_target) in enumerate(events):
@@ -171,36 +143,25 @@ def _execute(backend, events, pre_cancels, *, until=None, max_events=None):
         engine.cancel(handles[idx])
     overflowed = False
     try:
-        engine.run(until=until, max_events=max_events)
+        engine.run(max_events=max_events)
     except SimulationError:
         overflowed = True
     return (
         log, overflowed, engine.events_processed,
-        engine.live_event_count, engine.now,
+        engine.events_cancelled, engine.live_event_count, engine.now,
     )
 
 
 class TestWheelHeapEquivalence:
+    """The engine's heap against :class:`NaiveEngine`."""
+
     @settings(max_examples=200, deadline=None)
     @given(_schedules())
     def test_full_drain_order_identical(self, schedule) -> None:
         events, pre_cancels = schedule
         assert (
-            _execute("wheel", events, pre_cancels)
-            == _execute("heap", events, pre_cancels)
-        )
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        _schedules(),
-        st.floats(min_value=0.0, max_value=2.0 * WHEEL_HORIZON,
-                  allow_nan=False),
-    )
-    def test_until_cutoff_identical(self, schedule, until) -> None:
-        events, pre_cancels = schedule
-        assert (
-            _execute("wheel", events, pre_cancels, until=until)
-            == _execute("heap", events, pre_cancels, until=until)
+            _execute(Engine, events, pre_cancels)
+            == _execute(NaiveEngine, events, pre_cancels)
         )
 
     @settings(max_examples=100, deadline=None)
@@ -208,34 +169,9 @@ class TestWheelHeapEquivalence:
     def test_max_events_guard_identical(self, schedule, cap) -> None:
         events, pre_cancels = schedule
         assert (
-            _execute("wheel", events, pre_cancels, max_events=cap)
-            == _execute("heap", events, pre_cancels, max_events=cap)
+            _execute(Engine, events, pre_cancels, max_events=cap)
+            == _execute(NaiveEngine, events, pre_cancels, max_events=cap)
         )
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        _schedules(),
-        st.floats(min_value=0.0, max_value=WHEEL_HORIZON,
-                  allow_nan=False),
-    )
-    def test_resumed_run_identical(self, schedule, until) -> None:
-        """``run(until=...)`` then ``run()`` — the two-phase drive the
-        telemetry windows use — stays equivalent across backends."""
-        events, pre_cancels = schedule
-
-        def two_phase(backend):
-            engine = _engine(backend)
-            log: list[tuple[float, int]] = []
-            for i, (time, _, _) in enumerate(events):
-                engine.at(time, lambda i=i: log.append((engine.now, i)))
-            for idx in pre_cancels:
-                engine.cancel(idx)
-            engine.run(until=until)
-            midpoint = list(log)
-            engine.run()
-            return midpoint, log, engine.now, engine.events_processed
-
-        assert two_phase("wheel") == two_phase("heap")
 
 
 class TestWarmPoolDeterminism:
