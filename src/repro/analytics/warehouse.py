@@ -350,14 +350,18 @@ class Warehouse:
         bench = str(doc.get("benchmark", path.stem))
         count = 0
         for entry in doc["history"]:
-            if not isinstance(entry, dict) or "timestamp" not in entry:
+            if not isinstance(entry, dict):
+                continue
+            # Older histories date an entry with "date", not "timestamp".
+            stamp = entry.get("timestamp", entry.get("date"))
+            if stamp is None:
                 continue
             self._conn.execute(
                 "INSERT OR REPLACE INTO bench_history"
                 " (bench, timestamp, entry) VALUES (?, ?, ?)",
                 (
                     bench,
-                    str(entry["timestamp"]),
+                    str(stamp),
                     json.dumps(entry, separators=(",", ":")),
                 ),
             )

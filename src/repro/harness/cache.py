@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro.config.gpu import GPUConfig
-from repro.config.scheduler import SchedulerConfig
 from repro.sim.report import SimReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -115,43 +114,24 @@ def cache_key(
     app: str,
     scale: float,
     seed: int,
-    spec: Optional["SimSpec"] = None,
-    scheduler: Optional[SchedulerConfig] = None,
-    config: Optional[GPUConfig] = None,
-    device: Optional[str] = None,
-    measure_error: bool = False,
+    spec: "SimSpec",
     version: int = CACHE_FORMAT_VERSION,
 ) -> str:
     """Content hash identifying one simulation cell.
 
-    Preferred form: pass the full :class:`~repro.sim.spec.SimSpec` via
-    ``spec=`` — the key embeds ``spec.to_dict()`` wholesale, so every
-    spec field (present and future) is covered by construction; a field
-    omitted from ``to_dict`` is the only way to miss, and
-    ``tests/test_spec.py`` audits exactly that. The legacy keyword form
-    (``scheduler``/``config``/``device``/``measure_error``) builds the
-    equivalent spec and hashes identically.
+    The key embeds ``spec.to_dict()`` wholesale, so every
+    :class:`~repro.sim.spec.SimSpec` field (present and future) is
+    covered by construction; a field omitted from ``to_dict`` is the
+    only way to miss, and ``tests/test_spec.py`` audits exactly that.
 
-    ``config=None`` hashes identically to the default :class:`GPUConfig`
-    (that is what the simulator instantiates for it). ``device`` is the
-    named DRAM device overlaying the config (None = config-embedded
-    timings); it is part of the key even though a named device also
-    changes the resolved config, so ``--device gddr5`` and the bare
-    default stay distinguishable in the cache.
+    A spec with ``config=None`` hashes identically to one with the
+    default :class:`GPUConfig` (that is what the simulator instantiates
+    for it). ``spec.device`` is the named DRAM device overlaying the
+    config (None = config-embedded timings); it is part of the key even
+    though a named device also changes the resolved config, so
+    ``--device gddr5`` and the bare default stay distinguishable in the
+    cache.
     """
-    from repro.sim.spec import SimSpec
-
-    if spec is None:
-        if scheduler is None:
-            raise TypeError(
-                "cache_key requires either spec= or scheduler="
-            )
-        spec = SimSpec(
-            scheduler=scheduler,
-            device=device,
-            config=config,
-            measure_error=measure_error,
-        )
     spec_payload = spec.to_dict()
     if spec_payload.get("config") is None:
         # Preserve the documented equivalence: config=None keys the

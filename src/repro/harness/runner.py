@@ -19,10 +19,10 @@ Three layers keep repeated figure reproductions cheap:
    :class:`~repro.harness.pool.WarmPool`: workers import the simulation
    stack once, receive cells *batched* over the codec wire format, and
    survive across ``run_matrix`` calls (so a benchmark loop pays the
-   spawn cost once — :meth:`Runner.prewarm` pays it ahead of timing).
-   Cells are deduplicated by content key before dispatch, and every
-   cell (serial or parallel) resets the request-id counter first, so
-   serial, parallel, and cached runs produce field-identical reports.
+   spawn cost once). Cells are deduplicated by content key before
+   dispatch, and every cell (serial or parallel) resets the request-id
+   counter first, so serial, parallel, and cached runs produce
+   field-identical reports.
 
 Every cell is described by one :class:`~repro.sim.spec.SimSpec`: the
 runner's ``spec`` with the cell's scheme and ``measure_error`` put in.
@@ -256,12 +256,12 @@ class Runner:
     its scheme and ``measure_error`` put in (see :meth:`cell`).
     ``jobs`` controls matrix fan-out (1 = serial in-process; N > 1 uses a
     persistent :class:`~repro.harness.pool.WarmPool` of N workers that
-    survives across ``run_matrix`` calls — :meth:`prewarm` spins it up
-    ahead of time). ``profile=True`` wraps every in-process cell in
-    :mod:`cProfile` and collects the top cumulative frames into
-    :attr:`profiles` (forces serial execution — a worker process cannot
-    be profiled from the parent). ``cache=None`` disables the persistent
-    disk layer; the default honours ``REPRO_NO_CACHE``/``REPRO_CACHE_DIR``.
+    survives across ``run_matrix`` calls). ``profile=True`` wraps every
+    in-process cell in :mod:`cProfile` and collects the top cumulative
+    frames into :attr:`profiles` (forces serial execution — a worker
+    process cannot be profiled from the parent). ``cache=None`` disables
+    the persistent disk layer; the default honours
+    ``REPRO_NO_CACHE``/``REPRO_CACHE_DIR``.
 
     Fault-tolerance knobs (see the module docstring):
 
@@ -349,13 +349,6 @@ class Runner:
             # leak worker processes.
             weakref.finalize(self, pool.close)
         return pool
-
-    def prewarm(self, jobs: Optional[int] = None) -> None:
-        """Spawn the worker pool ahead of ``run_matrix`` so the first
-        timed sweep does not pay process start-up and import costs."""
-        jobs = self.jobs if jobs is None else jobs
-        if jobs > 1 or self.cell_timeout is not None:
-            self._ensure_pool(max(1, jobs))
 
     def close(self) -> None:
         """Shut the warm pool down (idempotent). The runner stays

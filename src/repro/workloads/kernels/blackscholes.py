@@ -90,6 +90,11 @@ class BlackScholes(Workload):
         t = np.maximum(arrays["T"].astype(np.float64), 1e-3)
         v = np.maximum(arrays["V"].astype(np.float64), 1e-3)
         r = 0.02
-        d1 = (np.log(s / k) + (r + 0.5 * v * v) * t) / (v * np.sqrt(t))
-        d2 = d1 - v * np.sqrt(t)
-        return s * _norm_cdf(d1) - k * np.exp(-r * t) * _norm_cdf(d2)
+        # A replayed drop can leave a strike of 0, where s / k divides
+        # by zero (0 / 0 beside a zero spot). Such a call is worth its
+        # limit as the strike falls to 0: the spot.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d1 = (np.log(s / k) + (r + 0.5 * v * v) * t) / (v * np.sqrt(t))
+            d2 = d1 - v * np.sqrt(t)
+            price = s * _norm_cdf(d1) - k * np.exp(-r * t) * _norm_cdf(d2)
+        return np.where(k > 0, price, s)

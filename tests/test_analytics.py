@@ -15,6 +15,7 @@ the same aggregates as the CLI render.
 import itertools
 import json
 import sqlite3
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,6 +46,8 @@ from repro.harness.cli import (
 from repro.harness.runner import Runner
 from repro.harness.schemes import evaluation_schemes
 from repro.sim.report import SimReport
+
+REPO = Path(__file__).resolve().parent.parent
 
 #: Tiny but representative: full pipeline in a few seconds per cell.
 SCALE = 0.05
@@ -431,6 +434,25 @@ class TestWarehouseIngest:
             }
             assert warehouse.failures()[0]["message"] == "boom"
             assert warehouse.bench_entries("x")[0]["rps"] == 5
+
+    def test_ingest_every_entry_of_the_committed_bench_files(self, tmp_path):
+        # BENCH_sim_throughput.json dates its entries with "date", the
+        # other two with "timestamp"; every entry becomes a row.
+        bench_files = sorted(REPO.glob("BENCH_*.json"))
+        assert [p.name for p in bench_files] == [
+            "BENCH_report.json", "BENCH_service_rps.json",
+            "BENCH_sim_throughput.json",
+        ]
+        with Warehouse(tmp_path / "wh.sqlite") as warehouse:
+            ingested = ingest_sources(warehouse, bench_files=bench_files)
+            assert ingested["bench"] == 7
+            per_bench = {
+                name: len(warehouse.bench_entries(name))
+                for name in ("report", "service_rps", "sim_throughput")
+            }
+        assert per_bench == {
+            "report": 1, "service_rps": 4, "sim_throughput": 2,
+        }
 
 
 class TestExperimentResults:

@@ -100,14 +100,6 @@ class TestCacheInvalidation:
             keys.add(self.key(dataclasses.replace(base, faults=faults)))
         assert len(keys) == len(variants) + 1
 
-    def test_default_ecc_section_keys_like_the_legacy_form(self) -> None:
-        # PR-4-era call sites that never heard of ecc/faults must keep
-        # hitting blobs stored via the full-spec path.
-        legacy = cache_key(
-            app=APP, scale=SCALE, seed=SEED, scheduler=SchedulerConfig()
-        )
-        assert legacy == self.key(SimSpec())
-
     def test_v3_blob_is_a_plain_miss(self, tmp_path) -> None:
         runner = make_runner(
             spec=SimSpec(), cache=ResultCache(tmp_path, enabled=True),

@@ -207,13 +207,12 @@ class TestWarmPoolDeterminism:
 
         runner = Runner(scale=0.1, seed=7, cache=None, verbose=False,
                         jobs=2)
-        runner.prewarm()
-        pool = runner._pool
-        assert pool is not None and not pool.closed
         first = runner.run_matrix(
             ["SCP", "GEMM"],
             {"Baseline": evaluation_schemes()["Baseline"]},
         )
+        pool = runner._pool
+        assert pool is not None and not pool.closed
         second = runner.run_matrix(
             ["SCP", "GEMM"], {"DMS(128)": dms_only(128)}
         )

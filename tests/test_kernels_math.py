@@ -5,6 +5,8 @@ replays, so each kernel is checked against an independent property or
 reference implementation.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,21 @@ class TestPhysicsAndGeometryKernels:
         # 0 <= call price <= spot.
         assert (out >= -1e-9).all()
         assert (out <= s + 1e-9).all()
+
+    def test_blackscholes_prices_a_zero_strike_at_the_spot(self) -> None:
+        # A replayed drop can zero a strike; the call is then worth its
+        # limit as the strike falls to 0, the spot, even beside a spot
+        # of 0 (where s / k is 0 / 0).
+        wl = get_workload("blackscholes", scale=SCALE)
+        arrays = {nm: a[:4].copy() for nm, a in wl.arrays.items()}
+        arrays["K"][:2] = 0.0
+        arrays["S"][0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = wl.run_kernel(arrays)
+        np.testing.assert_array_equal(out[:2], arrays["S"][:2])
+        intact = {nm: a[2:4] for nm, a in wl.arrays.items()}
+        np.testing.assert_array_equal(out[2:], wl.run_kernel(intact))
 
     def test_ray_shading_is_bounded(self) -> None:
         _, out = kernel_output("RAY")

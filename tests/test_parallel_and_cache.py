@@ -33,6 +33,7 @@ from repro.harness.cache import (
 from repro.harness import runner as runner_mod
 from repro.harness.runner import Runner
 from repro.harness.schemes import dms_plus_ams, evaluation_schemes
+from repro.sim.spec import SimSpec
 from repro.workloads import list_workloads
 
 SCALE = 0.12
@@ -46,17 +47,17 @@ def _schemes() -> dict:
     }
 
 
+_IDENTITY = ("app", "scale", "seed", "version")
+
+
 def _key(**overrides) -> str:
-    base = dict(
-        app="SCP",
-        scale=SCALE,
-        seed=7,
-        scheduler=SchedulerConfig(),
-        config=GPUConfig(),
-        measure_error=False,
-    )
-    base.update(overrides)
-    return cache_key(**base)
+    """The key of an SCP cell on the default GPUConfig; an override
+    replaces a ``cache_key`` argument or a ``SimSpec`` field."""
+    identity = dict(app="SCP", scale=SCALE, seed=7)
+    identity.update((k, v) for k, v in overrides.items() if k in _IDENTITY)
+    fields = dict(config=GPUConfig())
+    fields.update((k, v) for k, v in overrides.items() if k not in _IDENTITY)
+    return cache_key(spec=SimSpec(**fields), **identity)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the approximation-replay pipeline and quality metrics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,26 @@ class TestMeasureApplicationError:
         zeros = [drop(spec.base + i * 128, None) for i in range(8)]
         assert measure_application_error(wl, exact) == 0.0
         assert measure_application_error(wl, zeros) > 0.0
+
+    def test_blackscholes_cell_with_zeroed_strikes_has_finite_error(
+        self,
+    ) -> None:
+        # This cell's replayed drops zero 96 strikes, 64 of them beside
+        # a zero spot. Priced as 0 / 0, they made the error NaN, which
+        # the report's JSON then carried as the non-standard token NaN.
+        from repro.harness.cache import encode_report
+        from repro.harness.runner import Runner
+        from repro.harness.schemes import evaluation_schemes
+
+        runner = Runner(scale=0.1, seed=7, cache=None, verbose=False)
+        report = runner.run(
+            "blackscholes",
+            evaluation_schemes()["Static-DMS+Static-AMS"],
+            measure_error=True,
+        )
+        assert report.drops
+        assert np.isfinite(report.application_error)
+        json.loads(encode_report(report), parse_constant=pytest.fail)
 
 
 class TestQualityMetrics:

@@ -235,13 +235,14 @@ class TestCacheV4:
     def test_format_version_is_4(self) -> None:
         assert CACHE_FORMAT_VERSION == 4
 
-    def base_key(self, **overrides) -> str:
-        kwargs = dict(
+    def base_key(
+        self, version: int = CACHE_FORMAT_VERSION, **fields
+    ) -> str:
+        """The key of a synthetic cell whose spec sets ``fields``."""
+        return cache_key(
             app="synthetic", scale=0.25, seed=11,
-            scheduler=SchedulerConfig(),
+            spec=SimSpec(**fields), version=version,
         )
-        kwargs.update(overrides)
-        return cache_key(**kwargs)
 
     def test_device_is_part_of_the_key(self) -> None:
         # A named device must not collide with the bare default, even
@@ -270,8 +271,8 @@ class TestCacheV4:
                            tenant_class="approx-batch"),
             ),
         )
-        with_mix = self.base_key(spec=SimSpec(tenants=mix))
-        assert with_mix != self.base_key(spec=SimSpec())
+        with_mix = self.base_key(tenants=mix)
+        assert with_mix != self.base_key()
         reclassed = dataclasses.replace(
             mix,
             tenants=(
@@ -280,9 +281,9 @@ class TestCacheV4:
                                     tenant_class="bandwidth"),
             ),
         )
-        assert with_mix != self.base_key(spec=SimSpec(tenants=reclassed))
+        assert with_mix != self.base_key(tenants=reclassed)
         rearbited = dataclasses.replace(mix, arbiter="batch-fair")
-        assert with_mix != self.base_key(spec=SimSpec(tenants=rearbited))
+        assert with_mix != self.base_key(tenants=rearbited)
         rescaled = dataclasses.replace(
             mix,
             tenants=(
@@ -290,7 +291,7 @@ class TestCacheV4:
                 mix.tenants[1],
             ),
         )
-        assert with_mix != self.base_key(spec=SimSpec(tenants=rescaled))
+        assert with_mix != self.base_key(tenants=rescaled)
 
     def test_old_format_version_key_differs(self) -> None:
         assert self.base_key() != self.base_key(

@@ -144,7 +144,8 @@ class TestTimelineRoundTrip:
         report, _, _ = traced_run(DYN_COMBO, telemetry=True)
         cache = ResultCache(tmp_path, enabled=True)
         key = cache_key(
-            app="synthetic", scale=0.2, seed=5, scheduler=DYN_COMBO
+            app="synthetic", scale=0.2, seed=5,
+            spec=SimSpec(scheduler=DYN_COMBO),
         )
         cache.store(key, report)
         loaded = cache.load(key)
