@@ -6,8 +6,12 @@ approach is complementary. This ablation runs a thrash-heavy workload
 under both mappings, with and without DMS.
 """
 
-from repro.config import AddressMapping, GPUConfig, baseline_scheduler
-from repro.harness.schemes import dms_only
+from repro.config import (
+    AddressMapping,
+    GPUConfig,
+    baseline_scheduler,
+    static_dms,
+)
 from repro.harness.tables import format_table
 from repro.sim.spec import SimSpec
 from repro.sim.system import simulate_spec
@@ -30,7 +34,7 @@ def run_all(scale: float):
         )
         dms = simulate_spec(
             get_workload(APP, scale=scale),
-            SimSpec(scheduler=dms_only(1024), config=cfg),
+            SimSpec(scheduler=static_dms(1024), config=cfg),
         )
         out[scheme] = (base, dms)
     return out

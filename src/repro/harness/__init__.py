@@ -2,21 +2,13 @@
 
 from repro.harness.experiments import EXPERIMENTS, ExperimentResult
 from repro.harness.runner import Runner
-from repro.harness.schemes import (
-    ams_only,
-    dms_only,
-    dms_plus_ams,
-    evaluation_schemes,
-)
+from repro.harness.schemes import evaluation_schemes
 from repro.harness.tables import format_table, geomean
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
     "Runner",
-    "ams_only",
-    "dms_only",
-    "dms_plus_ams",
     "evaluation_schemes",
     "format_table",
     "geomean",

@@ -280,14 +280,12 @@ class ResultCache:
         report: SimReport,
         *,
         meta: Optional[dict] = None,
-        encoded: Optional[bytes] = None,
     ) -> Optional[Path]:
         """Persist ``report`` under ``key``; returns the blob path.
 
-        The blob is written to a temp file and atomically renamed so a
-        concurrent reader never sees a torn write. ``encoded`` is
-        ``encode_report(report)`` when the caller already holds it; the
-        report is encoded once either way.
+        The report is encoded once, by :func:`encode_report`, and the
+        blob is written to a temp file and atomically renamed so a
+        concurrent reader never sees a torn write.
 
         ``meta`` is an optional JSON-serializable sidecar recorded next
         to the report (``{"app", "scale", "seed", "spec"}`` from the
@@ -298,7 +296,7 @@ class ResultCache:
         """
         if not self.enabled:
             return None
-        data = encode_report(report) if encoded is None else encoded
+        data = encode_report(report)
         head = {
             "format_version": CACHE_FORMAT_VERSION,
             "workload": report.workload,

@@ -35,6 +35,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.config.faults import FaultConfig
 from repro.config.scheduler import SchedulerConfig
 from repro.dram.devices import device_names, get_device
 from repro.errors import (
@@ -53,6 +54,7 @@ from repro.harness.faults import (
 from repro.harness.runner import Runner
 from repro.harness.schemes import WINDOW_CYCLES, resolve_scheme, scheme_ids
 from repro.sim.spec import SimSpec
+from repro.workloads.registry import list_workloads
 
 #: Exit codes of the main experiment command (documented in README):
 #: every requested cell produced a report.
@@ -288,6 +290,11 @@ def _trace_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     with _usage_errors(parser):
         label, scheme = resolve_scheme(args.scheme)
+        if args.workload not in list_workloads():
+            raise ConfigError(
+                f"unknown workload {args.workload!r} "
+                f"(known: {', '.join(list_workloads())})"
+            )
         runner = _runner(args)
 
     from repro.telemetry.export import system_chrome_trace, write_chrome_trace
@@ -477,6 +484,7 @@ def _pareto_main(argv: list[str]) -> int:
     apps = _split(args.apps)
     with _usage_errors(parser):
         check_run_limits(jobs=args.jobs)
+        FaultConfig(enabled=True, p_bit=args.p_bit).validate()
         for scheme in scheme_names:
             resolve_scheme(scheme)
         for code in ecc_codes:
@@ -570,6 +578,7 @@ def _report_main(argv: list[str]) -> int:
     for column in FILTER_COLUMNS:
         parser.add_argument(
             f"--{column}",
+            type=int if column == "seed" else None,
             default=None,
             help=f"query filter: exact {column} match",
         )
@@ -661,8 +670,6 @@ def _report_main(argv: list[str]) -> int:
                 for column in FILTER_COLUMNS
                 if getattr(args, column) is not None
             }
-            if "seed" in filters:
-                filters["seed"] = int(filters["seed"])
             rows = warehouse.rows(**filters)
             if args.json:
                 print(json.dumps(rows, indent=2, sort_keys=True))
@@ -760,12 +767,6 @@ def _serve_main(argv: list[str]) -> int:
         f"(default {DEFAULT_JOURNAL})",
     )
     parser.add_argument(
-        "--journal-fsync", choices=("always", "batch"),
-        default="always",
-        help="journal durability: fsync every record (always) or "
-        "amortised every few dozen records (batch; default always)",
-    )
-    parser.add_argument(
         "--breaker-threshold", type=int, default=3,
         help="consecutive terminal failures of one spec before its "
         "circuit opens (default 3)",
@@ -777,17 +778,11 @@ def _serve_main(argv: list[str]) -> int:
         "half-open probe is admitted (default 60)",
     )
     parser.add_argument(
-        "--shed-watermark", type=float, default=0.75,
-        metavar="FRACTION",
-        help="queue-depth fraction above which submissions are shed "
-        "with 429 while all workers are busy (default 0.75)",
-    )
-    parser.add_argument(
         "--sse-ring-events", type=int, default=None, metavar="N",
         help="bounded per-job SSE replay ring size (events kept for "
         "Last-Event-ID reconnects; default 512)",
     )
-    _add_flags(parser, "--chaos", "--cache-dir", "--no-cache")
+    _add_flags(parser, "--chaos", "--cache-dir")
     parser.add_argument(
         "--warehouse", default=None, metavar="DB",
         help="results-warehouse sqlite file served by the read-only "
@@ -800,8 +795,6 @@ def _serve_main(argv: list[str]) -> int:
         parser.error("--workers must be >= 0")
     if args.queue_size < 1:
         parser.error("--queue-size must be >= 1")
-    if not 0.0 < args.shed_watermark <= 1.0:
-        parser.error("--shed-watermark must be in (0, 1]")
     if args.sse_ring_events is not None and args.sse_ring_events < 1:
         parser.error("--sse-ring-events must be >= 1")
     with _usage_errors(parser):
@@ -811,15 +804,13 @@ def _serve_main(argv: list[str]) -> int:
             port=args.port,
             workers=args.workers,
             queue_size=args.queue_size,
-            cache=ResultCache(args.cache_dir, enabled=not args.no_cache),
+            cache=ResultCache(args.cache_dir, enabled=True),
             journal_path=args.journal,
-            journal_fsync=args.journal_fsync,
             sse_ring_events=args.sse_ring_events or DEFAULT_RING_EVENTS,
             retries=args.retries,
             cell_timeout=args.cell_timeout,
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown=args.breaker_cooldown,
-            shed_watermark=args.shed_watermark,
             chaos=FaultPlan.parse(args.chaos) if args.chaos else None,
             warehouse_path=args.warehouse,
             verbose=not args.quiet,

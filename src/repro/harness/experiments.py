@@ -22,13 +22,9 @@ import numpy as np
 from repro.config.gpu import GPUConfig, L2Config
 from repro.dram.energy import project_memory_system_energy
 from repro.config.energy import hbm1_energy, hbm2_energy
+from repro.config.scheduler import static_ams, static_combo, static_dms
 from repro.harness.runner import Runner
-from repro.harness.schemes import (
-    ams_only,
-    dms_only,
-    dms_plus_ams,
-    evaluation_schemes,
-)
+from repro.harness.schemes import evaluation_schemes
 from repro.harness.tables import format_table, geomean
 from repro.workloads.characteristics import GROUPS, TABLE_II
 
@@ -68,7 +64,7 @@ def _delay_sweep_schemes() -> dict:
     """Baseline plus the Fig. 4/5/10 DMS delay sweep."""
     schemes = {"Baseline": evaluation_schemes()["Baseline"]}
     for delay in DELAY_SWEEP:
-        schemes[f"DMS({delay})"] = dms_only(delay)
+        schemes[f"DMS({delay})"] = static_dms(delay)
     return schemes
 
 
@@ -246,15 +242,15 @@ def fig07(runner: Runner) -> ExperimentResult:
     (b) SCP: AMS compensates DMS's IPC loss, enabling a larger delay."""
     result_rows = {}
     lps_cases = {
-        "DMS(256)": dms_only(256),
-        "DMS(512)": dms_only(512),
-        "AMS(8)": ams_only(8),
+        "DMS(256)": static_dms(256),
+        "DMS(512)": static_dms(512),
+        "AMS(8)": static_ams(8),
     }
     scp_cases = {
-        "DMS(128)": dms_only(128),
-        "DMS(256)": dms_only(256),
-        "AMS(8)": ams_only(8),
-        "DMS(256)+AMS(8)": dms_plus_ams(256, 8),
+        "DMS(128)": static_dms(128),
+        "DMS(256)": static_dms(256),
+        "AMS(8)": static_ams(8),
+        "DMS(256)+AMS(8)": static_combo(256, 8),
     }
     baseline = {"Baseline": evaluation_schemes()["Baseline"]}
     studies = (("LPS", lps_cases), ("SCP", scp_cases))
@@ -332,7 +328,7 @@ def fig11(runner: Runner, app: str = "SCP") -> ExperimentResult:
     reports = runner.run_matrix(
         (app,),
         {"Baseline": evaluation_schemes()["Baseline"],
-         **{f"AMS({th})": ams_only(th) for th in range(8, 0, -1)}},
+         **{f"AMS({th})": static_ams(th) for th in range(8, 0, -1)}},
     )
     base = reports[app, "Baseline"]
     acts, covs = {}, {}
@@ -468,7 +464,7 @@ def fig13(
     acts: dict[str, dict[int, int]] = {app: {} for app in apps}
     for size in QUEUE_SIZES:
         reports = _queue_runner(runner, size).run_matrix(
-            apps, {f"DMS2048/q{size}": dms_only(2048)}
+            apps, {f"DMS2048/q{size}": static_dms(2048)}
         )
         for app in apps:
             acts[app][size] = reports[(app, f"DMS2048/q{size}")].activations
@@ -598,11 +594,11 @@ def table2(
 
     sweep = runner.run_matrix(
         apps,
-        {**_delay_sweep_schemes(), "AMS(8)": ams_only(8)},
+        {**_delay_sweep_schemes(), "AMS(8)": static_ams(8)},
         measure_error=True,
     )
     low_th = runner.run_matrix(
-        apps, {f"AMS({th})": ams_only(th) for th in (4, 2, 1)}
+        apps, {f"AMS({th})": static_ams(th) for th in (4, 2, 1)}
     )
     rows = []
     matches = 0

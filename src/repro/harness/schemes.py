@@ -28,6 +28,7 @@ from repro.config.scheduler import (
     DMSConfig,
     DMSMode,
     SchedulerConfig,
+    static_dms,
 )
 from repro.errors import ConfigError
 
@@ -180,7 +181,7 @@ def resolve_scheme(name: str) -> tuple[str, SchedulerConfig]:
     match = re.fullmatch(r"dms(\d+)", lowered)
     if match:
         delay = int(match.group(1)) * 128
-        return f"Static-DMS({delay})", dms_only(delay)
+        return f"Static-DMS({delay})", static_dms(delay)
     definition = (
         _BY_ID.get(_ALIASES.get(lowered, text)) or _BY_LABEL.get(text)
     )
@@ -214,34 +215,3 @@ def evaluation_schemes(
         )
         for i in ids
     }
-
-
-def ams_only(th_rbl: int, *, coverage: float = 0.10) -> SchedulerConfig:
-    """AMS(Th_RBL) with no delay (Figs. 7 and 11)."""
-    return SchedulerConfig(
-        ams=AMSConfig(
-            mode=AMSMode.STATIC,
-            static_th_rbl=th_rbl,
-            coverage_limit=coverage,
-        )
-    )
-
-
-def dms_only(delay: int) -> SchedulerConfig:
-    """DMS(X) with no approximation (Figs. 4, 5, 7, 13)."""
-    return SchedulerConfig(
-        dms=DMSConfig(mode=DMSMode.STATIC, static_delay=delay)
-    )
-
-
-def dms_plus_ams(delay: int, th_rbl: int,
-                 *, coverage: float = 0.10) -> SchedulerConfig:
-    """Static DMS(X) + AMS(Th) (Fig. 7(b)'s combined case)."""
-    return SchedulerConfig(
-        dms=DMSConfig(mode=DMSMode.STATIC, static_delay=delay),
-        ams=AMSConfig(
-            mode=AMSMode.STATIC,
-            static_th_rbl=th_rbl,
-            coverage_limit=coverage,
-        ),
-    )

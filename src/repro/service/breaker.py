@@ -138,8 +138,8 @@ class CircuitBreaker:
         raise RejectedByBreaker(key, entry, max(1.0, remaining))
 
     def abandon_trial(self, key: str) -> None:
-        """Give up a half-open probe that never ran (shed, queue-full,
-        or cancelled) so the next submission can take its place."""
+        """Give up a half-open probe that never ran (queue full or
+        cancelled) so the next submission can take its place."""
         entry = self._entries.get(key)
         if entry is not None and entry.state == STATE_HALF_OPEN:
             entry.trial_pending = False

@@ -67,9 +67,10 @@ class ServiceClient:
         """The server's Retry-After hint, jittered and capped.
 
         Full jitter in ``[hint/2, hint]`` decorrelates a fleet of
-        clients that were all shed in the same overload burst — without
-        it they would re-dogpile the daemon exactly in step. The cap
-        keeps a pathological hint from stalling a sweep for minutes.
+        clients that were all refused in the same overload burst —
+        without it they would re-dogpile the daemon exactly in step.
+        The cap keeps a pathological hint from stalling a sweep for
+        minutes.
         """
         hint = max(0.0, float(retry_after))
         jittered = hint / 2.0 + self.rng.random() * (hint / 2.0)
@@ -202,8 +203,8 @@ class ServiceClient:
         ``retry_busy`` re-submits up to N times on 429/503, sleeping a
         *jittered* fraction of the server's ``Retry-After`` hint between
         tries (capped at :data:`MAX_RETRY_SLEEP`) — the polite way to
-        drive a sweep into a bounded queue without every shed client
-        re-dogpiling the daemon in step.
+        drive a sweep into a bounded queue without every refused
+        client re-dogpiling the daemon in step.
         """
         if spec is None:
             spec_doc: dict = {}

@@ -10,15 +10,16 @@ a small validated state machine::
     queued | running -> cancelled
 
 Every submission and every transition is appended to a :class:`JobJournal`
-— one JSON object per line, flushed immediately — so a daemon that
-crashes or restarts can :func:`replay_journal` its way back: terminal
-jobs keep their state (results re-served from the
-:class:`~repro.harness.cache.ResultCache` by content key), interrupted
-``queued``/``running`` jobs are re-admitted for a fresh attempt.
+— one JSON object per line, flushed and fsynced immediately — so a
+daemon that crashes or restarts can :func:`replay_journal` its way
+back: terminal jobs keep their state, interrupted ``queued``/``running``
+jobs are re-admitted for a fresh attempt.
 
-The journal never stores simulation *results* (those belong to the
-cache); it stores intent and outcome, which keeps it small enough to
-replay in milliseconds even after thousands of jobs.
+Neither a job nor the journal stores simulation *results*: those belong
+to the :class:`~repro.harness.cache.ResultCache`, which serves a done
+job's report by content key. The journal stores intent and outcome,
+which keeps it small enough to replay in milliseconds even after
+thousands of jobs.
 """
 
 from __future__ import annotations
@@ -149,10 +150,6 @@ class Job:
     recovered: bool = False
     #: Crash-safe SSE event history (lazily built by the first watcher).
     ring: Optional[Any] = None
-    #: The finished report's bytes (``repro.harness.cache.encode_report``)
-    #: held by a job the daemon simulated and by its followers. A job
-    #: answered from the cache holds none: its report is re-read by key.
-    result: Optional[bytes] = None
     #: Concurrent identical submissions riding on this job's execution.
     followers: list["Job"] = field(default_factory=list)
     #: Telemetry windows the running simulation has streamed so far,
@@ -301,36 +298,15 @@ class JobJournal:
          "cached": ..., "coalesced_into": ..., "attempts": ...,
          "error": {...}|null}
 
-    Appends are always *flushed* per record (a clean daemon exit or OS
-    survives with a complete journal); how hard each record is pushed to
-    the platter is the ``fsync`` knob:
-
-    * ``"always"`` (default) — ``os.fsync`` after every record.  Maximum
-      durability: even a machine power cut loses at most the one torn
-      trailing line that replay already skips.
-    * ``"batch"`` — fsync once every :attr:`BATCH_FSYNC_EVERY` records
-      and on :meth:`close`.  Amortises the dominant per-submission
-      syscall for load tests and high-RPS deployments; a *process* crash
-      still loses nothing (the data sits in the page cache), only a
-      whole-machine crash can drop the unsynced tail.
+    Every record is flushed and ``os.fsync``-ed as it is appended, so
+    even a machine power cut loses at most the one torn trailing line
+    that replay already skips.
     """
 
-    #: Records between fsyncs in ``"batch"`` mode.
-    BATCH_FSYNC_EVERY = 64
-
-    def __init__(
-        self, path: str | os.PathLike, *, fsync: str = "always"
-    ) -> None:
-        if fsync not in ("always", "batch"):
-            raise ConfigError(
-                f"journal fsync mode must be 'always' or 'batch', "
-                f"got {fsync!r}"
-            )
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         self._fh = None
         self.records_written = 0
-        self._unsynced = 0
 
     def open(self) -> None:
         """Open (creating parents) for appending."""
@@ -341,28 +317,19 @@ class JobJournal:
     def close(self) -> None:
         if self._fh is not None:
             try:
-                if self._unsynced:
-                    self._sync()
                 self._fh.close()
             finally:
                 self._fh = None
 
     # ------------------------------------------------------------------
-    def _sync(self) -> None:
-        try:
-            os.fsync(self._fh.fileno())
-        except OSError:  # pragma: no cover - fsync-less filesystems
-            pass
-        self._unsynced = 0
-
     def _append(self, record: dict) -> None:
         self.open()
         self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._fh.flush()
-        self._unsynced += 1
-        if self.fsync == "always" or \
-                self._unsynced >= self.BATCH_FSYNC_EVERY:
-            self._sync()
+        try:
+            os.fsync(self._fh.fileno())
+        except OSError:  # pragma: no cover - fsync-less filesystems
+            pass
         self.records_written += 1
 
     def record_submit(self, job: Job) -> None:

@@ -18,6 +18,8 @@ Admission order for every submission (:meth:`JobQueue.admit`):
    priority). A full heap raises :class:`QueueFullError`, which the HTTP
    layer maps to ``429 Too Many Requests`` plus a ``Retry-After`` hint
    derived from observed job durations — backpressure, not buffering.
+   The heap's capacity is the daemon's one admission bound; hits and
+   followers take no slot in it.
 
 All methods must run on the daemon's event loop (single-threaded
 admission makes the coalescing index race-free by construction); the
@@ -99,31 +101,31 @@ class JobQueue:
         return min(60.0, max(1.0, self._avg_duration * (len(self) + 1)))
 
     # ------------------------------------------------------------------
-    async def admit(self, job: Job) -> str:
-        """Admit a submission; returns one of the ``ADMIT_*`` outcomes.
+    async def admit(self, job: Job) -> tuple[str, Optional[bytes]]:
+        """Admit a submission; returns one of the ``ADMIT_*`` outcomes
+        and, for a cache hit, the report's bytes (else None).
 
-        Cache-hit jobs come back already ``done`` with the report's
-        bytes in :attr:`~repro.service.jobs.Job.result`, for the
-        response to splice in;
+        Cache-hit jobs come back already ``done``, and the caller
+        splices the bytes into its response without keeping them;
         coalesced jobs stay ``queued`` with
         :attr:`~repro.service.jobs.Job.coalesced_into` set; otherwise the
-        job enters the heap. Raises :class:`QueueFullError` with a
-        ``retry_after`` hint when the bounded heap is full.
+        job enters the heap. Only that last case takes a slot: raises
+        :class:`QueueFullError` with a ``retry_after`` hint when the
+        bounded heap is full.
         """
         if self.cache is not None:
             result = self.cache.load_bytes(job.key)
             if result is not None:
                 job.cached = True
-                job.result = result
                 job.transition(JobState.DONE)
                 self.metrics.inc(SERVICE_CACHE_HITS)
-                return ADMIT_CACHED
+                return ADMIT_CACHED, result
         primary = self._inflight.get(job.key)
         if primary is not None and not primary.terminal:
             job.coalesced_into = primary.id
             primary.followers.append(job)
             self.metrics.inc(SERVICE_COALESCED)
-            return ADMIT_COALESCED
+            return ADMIT_COALESCED, None
         if len(self) >= self.maxsize:
             self.metrics.inc(SERVICE_REJECTED)
             raise QueueFullError(
@@ -135,7 +137,7 @@ class JobQueue:
             heapq.heappush(self._heap, (-job.priority, self._seq, job))
             self._inflight[job.key] = job
             self._cond.notify()
-        return ADMIT_QUEUED
+        return ADMIT_QUEUED, None
 
     # ------------------------------------------------------------------
     async def get(self) -> Optional[Job]:

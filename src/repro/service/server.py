@@ -42,24 +42,27 @@ Robustness layers around the tier:
 * **circuit breaker** (:mod:`repro.service.breaker`) — a content key
   that keeps failing terminally is quarantined at admission with a
   structured HTTP 422 instead of burning workers on every retry;
-* **load shedding** — when every tier worker is busy and the queue is
-  past its watermark, submissions get an immediate 429 +
-  ``Retry-After`` instead of unbounded queueing;
+* **backpressure** — the queue's capacity is the one admission bound:
+  a submission that would need a slot in a full queue gets an
+  immediate 429 + ``Retry-After``; cache hits and duplicates of
+  in-flight jobs need no slot and are admitted at any depth;
 * **crash-safe SSE** (:mod:`repro.service.stream`) — each job owns a
   bounded event ring with monotonically increasing ids; any number of
   watchers fan out from one ring and a dropped client reconnects with
   ``Last-Event-ID`` to replay exactly what it missed.
 
-Every submission/transition is journalled
+Every submission/transition is journalled and fsynced
 (:class:`~repro.service.jobs.JobJournal`); a restarted daemon replays
-the journal, keeps terminal jobs addressable (results re-served from
-the cache by content key), and re-queues interrupted work.
+the journal, keeps terminal jobs addressable, and re-queues interrupted
+work.
 
 A report crosses the daemon as one encoding, the compact JSON bytes of
-:func:`~repro.harness.cache.encode_report`: the cache stores them, a
-hit reads them back digest-checked, and :meth:`ServiceDaemon._respond`
-splices them into the job document as ``"result"``. The daemon decodes
-a report only for an SSE watcher's terminal frame.
+:func:`~repro.harness.cache.encode_report`, and lives only in the
+cache: the tier's report is stored there, and every done job — hit,
+tier run, coalesced follower or recovered — is read back by content
+key, digest-checked, and :meth:`ServiceDaemon._respond` splices the
+bytes into the job document as ``"result"``. No job holds a report.
+The daemon decodes one only for an SSE watcher's terminal frame.
 
 The HTTP layer is deliberately minimal (HTTP/1.1, ``Connection:
 close``, JSON bodies) — no framework, no new dependencies.
@@ -84,7 +87,7 @@ from repro.analytics.warehouse import (
     resolve_warehouse_path,
 )
 from repro.errors import ConfigError, JobStateError
-from repro.harness.cache import ResultCache, encode_report
+from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan
 from repro.service.breaker import CircuitBreaker, RejectedByBreaker
 from repro.service.jobs import (
@@ -109,7 +112,6 @@ from repro.telemetry.hub import (
     SERVICE_COMPLETED,
     SERVICE_FAILED,
     SERVICE_RECOVERED,
-    SERVICE_SHED,
     SERVICE_SIMULATIONS,
     SERVICE_SSE_STREAMS,
     SERVICE_SUBMITTED,
@@ -157,11 +159,16 @@ class ServiceDaemon:
     the daemon's executor threads only store reports and read the
     warehouse.
 
-    Every submission takes one admission path (drain check, load
-    shedding, circuit breaker, then :meth:`JobQueue.admit
-    <repro.service.queue.JobQueue.admit>`) and is answered only with
-    the report of its own content key. The queue alone attaches,
-    detaches and promotes coalesced followers.
+    Every submission takes one admission path (drain check, circuit
+    breaker, then :meth:`JobQueue.admit
+    <repro.service.queue.JobQueue.admit>`, whose bounded queue is the
+    one limit) and is answered only with the report of its own content
+    key. The queue alone attaches, detaches and promotes coalesced
+    followers.
+
+    Reports live only in ``cache``, which must be enabled: ``None``
+    builds the default :class:`~repro.harness.cache.ResultCache`
+    switched on, and a disabled one raises ``ValueError``.
     """
 
     def __init__(
@@ -173,33 +180,32 @@ class ServiceDaemon:
         queue_size: int = 64,
         cache: Optional[ResultCache] = None,
         journal_path: str | Path = DEFAULT_JOURNAL,
-        journal_fsync: str = "always",
         retries: int = 1,
         retry_backoff: float = 0.05,
         cell_timeout: Optional[float] = None,
         sse_ring_events: int = DEFAULT_RING_EVENTS,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 60.0,
-        shed_watermark: float = 0.75,
         chaos: Optional[FaultPlan] = None,
         warehouse_path: str | Path | None = None,
         verbose: bool = True,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if not 0.0 < shed_watermark <= 1.0:
-            raise ValueError("shed_watermark must be in (0, 1]")
+        if cache is None:
+            cache = ResultCache(enabled=True)
+        if not cache.enabled:
+            raise ValueError("the daemon needs an enabled result cache")
         self.host = host
         self.port = port
         self.workers = workers
         self.queue_size = queue_size
-        self.cache = cache if cache is not None else ResultCache()
-        self.journal = JobJournal(journal_path, fsync=journal_fsync)
+        self.cache = cache
+        self.journal = JobJournal(journal_path)
         self.retries = retries
         self.retry_backoff = retry_backoff
         self.cell_timeout = cell_timeout
         self.sse_ring_events = sse_ring_events
-        self.shed_watermark = shed_watermark
         self.chaos = chaos
         #: Sqlite results warehouse served read-only by the
         #: ``/v1/experiments`` routes (None = $REPRO_WAREHOUSE / the
@@ -309,7 +315,7 @@ class ServiceDaemon:
             f"serving on http://{self.host}:{self.port} "
             f"(workers={self.workers}, "
             f"queue={self.queue_size}, "
-            f"cache={self.cache.root if self.cache.enabled else 'off'})"
+            f"cache={self.cache.root})"
         )
         self._ready.set()
         try:
@@ -327,7 +333,7 @@ class ServiceDaemon:
                 continue
             self.hub.inc(SERVICE_RECOVERED)
             try:
-                outcome = await self.queue.admit(job)
+                outcome, _ = await self.queue.admit(job)
             except QueueFullError:
                 job.transition(JobState.FAILED)
                 job.error = {
@@ -338,9 +344,7 @@ class ServiceDaemon:
                 continue
             if outcome == ADMIT_CACHED:
                 # The interrupted run's cell finished in some other
-                # daemon/CLI process meanwhile; serve it as done, its
-                # report re-read by key like every cache hit's.
-                job.result = None
+                # daemon/CLI process meanwhile; serve it as done.
                 self.journal.record_state(job)
                 self.hub.inc(SERVICE_COMPLETED)
             else:
@@ -391,35 +395,26 @@ class ServiceDaemon:
         the job itself."""
         return self.jobs.get(job.coalesced_into, job)
 
-    def _finish_job(
-        self,
-        job: Job,
-        *,
-        result: Optional[bytes],
-        error: Optional[dict],
-    ) -> None:
-        """Resolve a primary and all its followers to a terminal state;
-        each member holds the one ``result`` bytes object. The primary
-        drops its streamed windows: a done job's windows are its
-        report's timeline."""
+    def _finish_job(self, job: Job, *, error: Optional[dict]) -> None:
+        """Resolve a primary and all its followers to a terminal state:
+        DONE when ``error`` is None (the report is in the cache by then),
+        else FAILED. The primary drops its streamed windows: a done
+        job's windows are its report's timeline."""
         members = [job, *job.followers]
         job.followers = []
         job.windows = []
         for member in members:
             if member.terminal:
                 continue
-            member.result = result
             member.error = error
-            if result is not None:
+            if error is None:
                 self._set_state(member, JobState.DONE)
                 self.hub.inc(SERVICE_COMPLETED)
             else:
                 self._set_state(member, JobState.FAILED)
                 self.hub.inc(SERVICE_FAILED)
 
-    def _note_failure(
-        self, job: Job, error: Optional[dict], *, fatal: bool
-    ) -> None:
+    def _note_failure(self, job: Job, error: dict, *, fatal: bool) -> None:
         """A job failed terminally: finish it and charge the breaker."""
         tripped = self.breaker.record_failure(
             job.key, error, fatal=fatal
@@ -430,7 +425,7 @@ class ServiceDaemon:
                 f"circuit OPEN for key {job.key[:16]}… after "
                 f"{self.breaker.threshold} consecutive failure(s)"
             )
-        self._finish_job(job, result=None, error=error)
+        self._finish_job(job, error=error)
 
     async def _worker(self) -> None:
         while True:
@@ -442,7 +437,7 @@ class ServiceDaemon:
             started = time.monotonic()
             try:
                 report = await self.tier.execute(job)
-                result = await self._loop.run_in_executor(
+                await self._loop.run_in_executor(
                     self._executor, self._store_result, job, report
                 )
             except TierExecutionFailed as exc:
@@ -465,23 +460,18 @@ class ServiceDaemon:
                 )
             else:
                 self.breaker.record_success(job.key)
-                self._finish_job(job, result=result, error=None)
+                self._finish_job(job, error=None)
             finally:
                 self.queue.note_duration(time.monotonic() - started)
                 self._running.pop(job.id, None)
                 self.queue.release(job)
 
-    def _store_result(self, job: Job, report: SimReport) -> bytes:
-        """Encode a finished report once and persist those bytes (the
-        workers compute; the daemon owns the cache) — runs on an
-        executor thread. Returns the bytes the job keeps."""
+    def _store_result(self, job: Job, report: SimReport) -> None:
+        """Persist a finished report under the job's key (the workers
+        compute; the daemon owns the cache) — runs on an executor
+        thread."""
         self.hub.inc(SERVICE_SIMULATIONS)
-        result = encode_report(report)
-        if self.cache.enabled:
-            self.cache.store(
-                job.key, report, meta=job.cell.cache_meta, encoded=result
-            )
-        return result
+        self.cache.store(job.key, report, meta=job.cell.cache_meta)
 
     # ------------------------------------------------------------------
     # HTTP layer
@@ -824,19 +814,6 @@ class ServiceDaemon:
                 headers={"Retry-After": "5"},
             )
             return
-        if self._should_shed():
-            hint = max(1.0, self.queue.retry_after_hint())
-            self.hub.inc(SERVICE_SHED)
-            self._respond(
-                writer,
-                429,
-                {
-                    "error": "worker tier saturated; load shed",
-                    "retry_after": hint,
-                },
-                headers={"Retry-After": f"{hint:.0f}"},
-            )
-            return
         try:
             was_trial = self.breaker.check(job.key)
         except RejectedByBreaker as exc:
@@ -855,7 +832,7 @@ class ServiceDaemon:
             )
             return
         try:
-            outcome = await self.queue.admit(job)
+            outcome, result = await self.queue.admit(job)
         except QueueFullError as exc:
             if was_trial:
                 self.breaker.abandon_trial(job.key)
@@ -869,15 +846,11 @@ class ServiceDaemon:
         self.hub.inc(SERVICE_SUBMITTED)
         self.jobs[job.id] = job
         self.journal.record_submit(job)
-        result = None
         if outcome == ADMIT_CACHED:
             self.journal.record_state(job)
             self.hub.inc(SERVICE_COMPLETED)
             self.breaker.record_success(job.key)
             status = 200
-            # A hit keeps no bytes once answered: later reads of the
-            # job go back to the cache by key.
-            result, job.result = job.result, None
         else:
             status = 202
         self._respond(
@@ -887,28 +860,10 @@ class ServiceDaemon:
             result=result,
         )
 
-    def _should_shed(self) -> bool:
-        """Load-shedding predicate: every tier worker busy *and* the
-        queue past its watermark — more queueing only grows latency, so
-        an immediate 429 with a truthful Retry-After is kinder than a
-        deep queue slot.  Shedding happens before any cache probe: an
-        overloaded daemon spares itself even the disk read."""
-        if self.tier is None:
-            return False
-        return (
-            len(self._running) >= self.workers
-            and len(self.queue) >= max(
-                1, int(self.shed_watermark * self.queue_size)
-            )
-        )
-
     def _result_of(self, job: Job) -> Optional[bytes]:
-        """A done job's report bytes: the ones it holds, else re-read
-        by key (cache hits, jobs recovered from the journal)."""
+        """A done job's report bytes, read from the cache by key."""
         if job.state is not JobState.DONE:
             return None
-        if job.result is not None:
-            return job.result
         return self.cache.load_bytes(job.key)
 
     def _report_of(self, job: Job) -> Optional[SimReport]:

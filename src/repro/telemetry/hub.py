@@ -80,8 +80,6 @@ SERVICE_RECOVERED = "service.jobs.recovered"
 SERVICE_SIMULATIONS = "service.simulations"
 #: SSE event-stream connections served.
 SERVICE_SSE_STREAMS = "service.sse.streams"
-#: Submissions shed with 429 because the worker tier was saturated.
-SERVICE_SHED = "service.jobs.shed"
 #: Circuits tripped open by consecutive terminal failures of one key.
 SERVICE_BREAKER_OPENED = "service.breaker.opened"
 #: Submissions rejected with 422 while their key's circuit was open.

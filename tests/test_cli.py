@@ -189,6 +189,9 @@ class _Ran(Exception):
     ["serve", "--cell-timeout", "-5"],
     ["serve", "--breaker-threshold", "0"],
     ["serve", "--breaker-cooldown", "-1"],
+    ["pareto", "--p-bit", "-1"],
+    ["pareto", "--p-bit", "2"],
+    ["pareto", "--p-bit", "nan"],
 ])
 def test_out_of_range_run_flags_are_usage_errors(argv, monkeypatch, capsys):
     from repro.harness.runner import Runner
@@ -204,6 +207,22 @@ def test_out_of_range_run_flags_are_usage_errors(argv, monkeypatch, capsys):
         cli.main(argv + ["--quiet"])
     assert exc.value.code == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_a_non_integer_seed_filter_is_a_usage_error(tmp_path, capsys):
+    db = tmp_path / "warehouse.sqlite"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "query", "--seed", "abc", "--db", str(db)])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    assert not db.exists()
+
+
+def test_an_unknown_trace_workload_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["trace", "Dyn-DMS", "NOPE", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unknown workload 'NOPE'" in capsys.readouterr().err
 
 
 def test_a_label_works_where_only_ids_did(capsys):

@@ -178,12 +178,13 @@ class TestWarmPoolDeterminism:
     def test_serial_pooled_field_identical(self) -> None:
         """One matrix, two execution modes, byte-identical reports."""
         from repro.harness.runner import Runner
-        from repro.harness.schemes import dms_only, evaluation_schemes
+        from repro.config import static_dms
+        from repro.harness.schemes import evaluation_schemes
 
         apps = ["SCP", "GEMM"]
         schemes = {
             "Baseline": evaluation_schemes()["Baseline"],
-            "DMS(128)": dms_only(128),
+            "DMS(128)": static_dms(128),
         }
 
         def run(**kwargs):
@@ -203,7 +204,8 @@ class TestWarmPoolDeterminism:
     def test_pool_survives_across_matrices(self) -> None:
         """The second matrix on one runner reuses the warm workers."""
         from repro.harness.runner import Runner
-        from repro.harness.schemes import dms_only, evaluation_schemes
+        from repro.config import static_dms
+        from repro.harness.schemes import evaluation_schemes
 
         runner = Runner(scale=0.1, seed=7, cache=None, verbose=False,
                         jobs=2)
@@ -214,7 +216,7 @@ class TestWarmPoolDeterminism:
         pool = runner._pool
         assert pool is not None and not pool.closed
         second = runner.run_matrix(
-            ["SCP", "GEMM"], {"DMS(128)": dms_only(128)}
+            ["SCP", "GEMM"], {"DMS(128)": static_dms(128)}
         )
         assert runner._pool is pool  # no teardown between matrices
         assert first and second

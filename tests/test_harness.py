@@ -2,13 +2,16 @@
 
 import pytest
 
-from repro.config import AMSMode, DMSMode
+from repro.config import (
+    AMSMode,
+    DMSMode,
+    static_ams,
+    static_combo,
+    static_dms,
+)
 from repro.harness import (
     EXPERIMENTS,
     Runner,
-    ams_only,
-    dms_only,
-    dms_plus_ams,
     evaluation_schemes,
     format_table,
     geomean,
@@ -42,13 +45,12 @@ class TestSchemes:
         assert schemes["Dyn-AMS"].ams.window_cycles == 512
 
     def test_helper_factories(self) -> None:
-        assert dms_only(256).dms.static_delay == 256
-        assert ams_only(3).ams.static_th_rbl == 3
-        combo = dms_plus_ams(512, 2, coverage=0.2)
+        assert static_dms(256).dms.static_delay == 256
+        assert static_ams(3).ams.static_th_rbl == 3
+        combo = static_combo(512, 2)
         assert combo.dms.static_delay == 512
         assert combo.ams.static_th_rbl == 2
-        assert combo.ams.coverage_limit == 0.2
-        for scheme in (dms_only(128), ams_only(8), dms_plus_ams(128, 8)):
+        for scheme in (static_dms(128), static_ams(8), static_combo(128, 8)):
             scheme.validate()
 
 
@@ -80,7 +82,7 @@ class TestRunner:
         runner = Runner(scale=0.12, verbose=False)
         schemes = {
             "Baseline": evaluation_schemes()["Baseline"],
-            "DMS(128)": dms_only(128),
+            "DMS(128)": static_dms(128),
         }
         results = runner.run_matrix(["SCP", "LPS"], schemes)
         assert set(results) == {

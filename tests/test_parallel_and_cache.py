@@ -24,7 +24,7 @@ import weakref
 import pytest
 
 from repro.config.gpu import GPUConfig
-from repro.config.scheduler import SchedulerConfig
+from repro.config.scheduler import SchedulerConfig, static_combo
 from repro.harness.cache import (
     CACHE_FORMAT_VERSION,
     ResultCache,
@@ -32,7 +32,7 @@ from repro.harness.cache import (
 )
 from repro.harness import runner as runner_mod
 from repro.harness.runner import Runner
-from repro.harness.schemes import dms_plus_ams, evaluation_schemes
+from repro.harness.schemes import evaluation_schemes
 from repro.sim.spec import SimSpec
 from repro.workloads import list_workloads
 
@@ -43,7 +43,7 @@ APPS = ("SCP", "GEMM")
 def _schemes() -> dict:
     return {
         "Baseline": evaluation_schemes()["Baseline"],
-        "DMS(256)+AMS(8)": dms_plus_ams(256, 8),
+        "DMS(256)+AMS(8)": static_combo(256, 8),
     }
 
 

@@ -41,7 +41,6 @@ from repro.harness.cache import (
 from repro.harness.faults import FaultPlan
 from repro.harness.runner import CellSpec
 from repro.harness.schemes import scheme_def
-from repro.service import server as server_mod
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceDaemon
 from repro.sim.report import SimReport
@@ -311,6 +310,16 @@ def _submit(client: ServiceClient, spec: SimSpec) -> dict:
     return client.submit(APP, spec=spec, scale=SCALE, seed=SEED)
 
 
+def _assert_no_job_holds_a_report(daemon: ServiceDaemon) -> None:
+    """Every job the daemon knows keeps its report only in the cache."""
+    assert daemon.jobs
+    for job in daemon.jobs.values():
+        assert not any(
+            isinstance(value, (bytes, SimReport))
+            for value in vars(job).values()
+        ), job.id
+
+
 def test_every_kind_of_job_serves_the_reference_result(
     simulated, tmp_path
 ):
@@ -339,6 +348,7 @@ def test_every_kind_of_job_serves_the_reference_result(
             assert event == "done"
             assert data["metrics"] == metrics
         assert _simulations(daemon) == 1
+        _assert_no_job_holds_a_report(daemon)
     finally:
         daemon.stop()
 
@@ -352,6 +362,7 @@ def test_every_kind_of_job_serves_the_reference_result(
         event, data = _terminal(client, tier["id"])
         assert data["metrics"] == metrics
         assert _simulations(recovered) == 0
+        _assert_no_job_holds_a_report(recovered)
     finally:
         recovered.stop()
 
@@ -377,9 +388,8 @@ def test_a_hit_decodes_and_encodes_no_report(
             counted("from_dict", SimReport.from_dict)))
         monkeypatch.setattr(SimReport, "to_dict",
                             counted("to_dict", SimReport.to_dict))
-        for module in (cache_mod, server_mod):
-            monkeypatch.setattr(module, "encode_report", counted(
-                "encode_report", module.encode_report))
+        monkeypatch.setattr(cache_mod, "encode_report", counted(
+            "encode_report", cache_mod.encode_report))
         job = _submit(client, spec)
         doc = client.job(job["id"])
         monkeypatch.undo()
@@ -393,21 +403,16 @@ def test_a_hit_decodes_and_encodes_no_report(
 def test_hit_jobs_retain_no_result(simulated, tmp_path):
     spec, report = simulated
     _store(tmp_path / "cache", spec, report)
-    daemon = _daemon(tmp_path, journal_fsync="batch")
+    daemon = _daemon(tmp_path)
     daemon.start_in_thread()
     try:
         client = ServiceClient(port=daemon.port)
         jobs = [_submit(client, spec) for _ in range(200)]
         assert {job["outcome"] for job in jobs} == {"cached"}
         assert len(daemon.jobs) == 200
-        for job in daemon.jobs.values():
-            assert not any(
-                isinstance(value, (bytes, SimReport))
-                for value in vars(job).values()
-            ), job.id
+        _assert_no_job_holds_a_report(daemon)
         first = client.job(jobs[0]["id"])
         assert first["result"] == _reference(report)
-        assert daemon.jobs[jobs[0]["id"]].result is None
     finally:
         daemon.stop()
 

@@ -243,6 +243,25 @@ def test_full_queue_answers_429_with_retry_after(tmp_path):
         daemon.stop(drain=False)
 
 
+def test_the_daemon_refuses_a_disabled_cache(tmp_path, monkeypatch):
+    """Done jobs are served from the cache by key, so it must be on."""
+    from repro.harness import cli
+
+    with pytest.raises(ValueError, match="enabled result cache"):
+        ServiceDaemon(
+            port=0, cache=ResultCache(tmp_path / "cache", enabled=False),
+            journal_path=tmp_path / "journal.jsonl", verbose=False,
+        )
+
+    def serving(self):
+        raise AssertionError("serve --no-cache started a daemon")
+
+    monkeypatch.setattr(ServiceDaemon, "run", serving)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["serve", "--no-cache", "--port", "0"])
+    assert excinfo.value.code == 2
+
+
 def test_malformed_spec_is_400_naming_the_key_path(tmp_path):
     daemon = _daemon(tmp_path, workers=0)
     daemon.start_in_thread()
@@ -707,8 +726,8 @@ def test_queue_promotes_follower_when_primary_cancelled():
         queue = JobQueue(maxsize=8, cache=ResultCache(enabled=False))
         primary = _job(7)
         duplicate = _job(7)
-        assert (await queue.admit(primary)) == "queued"
-        assert (await queue.admit(duplicate)) == "coalesced"
+        assert (await queue.admit(primary)) == ("queued", None)
+        assert (await queue.admit(duplicate)) == ("coalesced", None)
         assert duplicate.coalesced_into == primary.id
         await queue.cancel(primary)
         # The duplicate took over as the new primary for the key.

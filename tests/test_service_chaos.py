@@ -18,8 +18,10 @@ threaded into the tier's worker processes:
    exactly the missed events, a reconnect past the bounded ring's
    tail gets an explicit ``gap`` event, and ``repro-harness watch``
    reconnects after a dropped stream.
-5. **Load shedding** — with every worker busy and the queue past its
-   watermark, submissions shed with 429 + Retry-After.
+5. **One admission bound** — with the lone worker busy and a cold job
+   queued, a cache hit is still answered and a duplicate of the queued
+   job still coalesces: only a job that needs a queue slot can be
+   refused.
 6. **Deadlines and retries** — a hung attempt is killed at
    ``cell_timeout`` and retried byte-identically (or, with no retries
    left, fails as a fatal ``CellTimeoutError``), and a telemetry job
@@ -35,20 +37,24 @@ import time
 
 import pytest
 
-from repro.errors import CircuitOpenError, ServiceBusyError
+from repro.errors import CircuitOpenError
 from repro.harness import cli
 from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan
-from repro.harness.runner import Runner
+from repro.harness.runner import CellSpec, Runner
 from repro.harness.schemes import scheme_def
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceDaemon
 from repro.sim.spec import SimSpec
+from repro.sim.system import simulate_spec
 from repro.telemetry.hub import (
-    SERVICE_SHED,
+    SERVICE_CACHE_HITS,
+    SERVICE_COALESCED,
+    SERVICE_REJECTED,
     SERVICE_TIER_RESPAWNS,
     SERVICE_TIER_TIMEOUTS,
 )
+from repro.workloads.registry import get_workload
 
 SCALE = 0.05
 WAIT = 180.0
@@ -91,7 +97,8 @@ def test_killed_worker_fails_only_its_own_job(tmp_path):
     neighbour job and its SSE watcher never notice, and the daemon
     serves throughout."""
     reference = _daemon(
-        tmp_path / "ref", cache=ResultCache(tmp_path / "ref" / "cache")
+        tmp_path / "ref",
+        cache=ResultCache(tmp_path / "ref" / "cache", enabled=True),
     )
     reference.start_in_thread()
     try:
@@ -173,7 +180,7 @@ def test_chaos_load_every_5th_dispatch_killed(tmp_path):
         # re-serving them must agree with a fresh simulation.
         clean = _daemon(
             tmp_path / "clean",
-            cache=ResultCache(tmp_path / "clean" / "cache"),
+            cache=ResultCache(tmp_path / "clean" / "cache", enabled=True),
             workers=4,
         )
         clean.start_in_thread()
@@ -382,14 +389,36 @@ def test_one_running_job_fans_out_to_many_watchers(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# 5: load shedding
+# 5: the queue's capacity is the one admission bound
 # ----------------------------------------------------------------------
-def test_saturated_tier_sheds_with_retry_after(tmp_path):
-    daemon = _daemon(
-        tmp_path, workers=1, queue_size=4, shed_watermark=0.5,
-        chaos=FaultPlan.parse("hang@0:3"),  # dispatch 0 occupies the
-        retries=0,                          # lone worker for 3 s
+def _post(client: ServiceClient, spec: SimSpec, seed: int) -> tuple:
+    """Submit one synthetic job; returns (HTTP status, response body)."""
+    status, _, doc = client._request("POST", "/v1/jobs", {
+        "app": "synthetic", "scale": SCALE, "seed": seed,
+        "spec": spec.to_dict(),
+    })
+    return status, doc
+
+
+def test_hits_and_duplicates_are_admitted_while_the_tier_is_saturated(
+    tmp_path,
+):
+    """The lone worker is held by a hung job and a cold job waits in
+    the queue: a cache hit is answered (200) and a duplicate of the
+    queued job coalesces (202), because neither needs a queue slot."""
+    cache = ResultCache(tmp_path / "cache", enabled=True)
+    warm = CellSpec(app="synthetic", scale=SCALE, seed=7,
+                    spec=_spec("frfcfs"))
+    cache.store(
+        warm.key,
+        simulate_spec(get_workload("synthetic", scale=SCALE, seed=7),
+                      warm.spec),
+        meta=warm.cache_meta,
     )
+    daemon = _daemon(
+        tmp_path, workers=1, queue_size=2, cache=cache,
+        chaos=FaultPlan.parse("hang@0:3"),  # dispatch 0 occupies the
+    )                                       # lone worker for 3 s
     daemon.start_in_thread()
     try:
         client = ServiceClient(port=daemon.port)
@@ -399,24 +428,24 @@ def test_saturated_tier_sheds_with_retry_after(tmp_path):
             if client.job(hung["id"])["state"] == "running":
                 break
             time.sleep(0.02)
-        # Fill the queue past the watermark (0.5 * 4 = 2 entries).
-        queued = [
-            client.submit(
-                "synthetic", spec=_spec(), scale=SCALE, seed=100 + i
-            )
-            for i in range(2)
-        ]
-        with pytest.raises(ServiceBusyError) as exc_info:
-            client.submit(
-                "synthetic", spec=_spec(), scale=SCALE, seed=999
-            )
-        assert exc_info.value.retry_after >= 1.0
+        status, queued = _post(client, _spec(), seed=100)
+        assert (status, queued.get("outcome")) == (202, "queued")
+
+        status, hit = _post(client, warm.spec, seed=7)
+        assert (status, hit.get("outcome")) == (200, "cached")
+        assert hit["job"]["result"] == json.loads(cache.load_bytes(warm.key))
+
+        status, duplicate = _post(client, _spec(), seed=100)
+        assert (status, duplicate.get("outcome")) == (202, "coalesced")
+        assert duplicate["job"]["coalesced_into"] == queued["job"]["id"]
+
         counters = daemon.hub.snapshot()["counters"]
-        assert counters.get(SERVICE_SHED, 0) >= 1
-        # The shed was advisory, not fatal: everything queued finishes.
-        for job in (hung, *queued):
-            assert client.wait(job["id"], timeout=WAIT)["state"] == \
-                "done"
+        assert counters.get(SERVICE_CACHE_HITS, 0) == 1
+        assert counters.get(SERVICE_COALESCED, 0) == 1
+        assert counters.get(SERVICE_REJECTED, 0) == 0
+        for job_id in (hung["id"], queued["job"]["id"],
+                       duplicate["job"]["id"]):
+            assert client.wait(job_id, timeout=WAIT)["state"] == "done"
     finally:
         daemon.stop()
 
@@ -434,7 +463,7 @@ def test_hung_job_is_killed_at_its_deadline_and_retried(tmp_path):
     run, with one timeout and one respawn counted."""
     reference = _run_one(
         _daemon(tmp_path / "ref",
-                cache=ResultCache(tmp_path / "ref" / "cache")),
+                cache=ResultCache(tmp_path / "ref" / "cache", enabled=True)),
         _spec(),
     )
     daemon = _daemon(
@@ -526,7 +555,7 @@ def test_hung_telemetry_job_is_killed_and_streams_each_window_once(
     spec = _spec(telemetry=True)
     reference = _watched_run(
         _daemon(tmp_path / "ref",
-                cache=ResultCache(tmp_path / "ref" / "cache")),
+                cache=ResultCache(tmp_path / "ref" / "cache", enabled=True)),
         spec,
     )
     run = _watched_run(

@@ -9,8 +9,8 @@ Covers, without a running daemon:
 * the WarmPool supervision surface the tier relies on: heartbeat
   ping/pong, per-worker state introspection, stale-worker reaping, and
   idempotent close();
-* journal hardening: fsync batching, torn-line recovery, and the
-  invariant that cancelled jobs stay cancelled across a restart;
+* journal hardening: torn-line recovery and the invariant that
+  cancelled jobs stay cancelled across a restart;
 * the client's jittered, capped Retry-After backoff.
 """
 
@@ -21,7 +21,6 @@ import time
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.harness.pool import WarmPool
 from repro.harness.schemes import scheme_def
 from repro.service.breaker import (
@@ -279,32 +278,9 @@ class TestWarmPoolSupervision:
 # Journal hardening
 # ----------------------------------------------------------------------
 class TestJournalHardening:
-    def test_fsync_mode_is_validated(self, tmp_path):
-        with pytest.raises(ConfigError):
-            JobJournal(tmp_path / "j.jsonl", fsync="sometimes")
-
-    def test_batch_mode_keeps_every_record(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        journal = JobJournal(path, fsync="batch")
-        jobs = [_job(seed=i) for i in range(5)]
-        for job in jobs:
-            journal.record_submit(job)
-        journal.close()
-        assert len(replay_journal(path)) == 5
-
-    def test_batch_mode_syncs_at_the_watermark(self, tmp_path):
-        journal = JobJournal(tmp_path / "j.jsonl", fsync="batch")
-        job = _job()
-        for _ in range(JobJournal.BATCH_FSYNC_EVERY - 1):
-            journal.record_state(job)
-        assert journal._unsynced == JobJournal.BATCH_FSYNC_EVERY - 1
-        journal.record_state(job)
-        assert journal._unsynced == 0
-        journal.close()
-
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        journal = JobJournal(path, fsync="batch")
+        journal = JobJournal(path)
         journal.record_submit(_job(seed=1))
         journal.record_submit(_job(seed=2))
         journal.close()
