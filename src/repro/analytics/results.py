@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from repro.analytics.stats import (
-    DEFAULT_RESAMPLES,
     BootstrapCI,
     bootstrap_ci,
     holm_adjust,
@@ -41,6 +40,7 @@ from repro.analytics.stats import (
     mean,
 )
 from repro.analytics.warehouse import Warehouse
+from repro.config.warehouse import WarehouseSpec
 
 #: Snapshot document version (``report render --snapshot-out``).
 SNAPSHOT_VERSION = 1
@@ -56,9 +56,6 @@ METRIC_DIRECTIONS = {
     "bwutil": "max",
     "jain_fairness": "max",
 }
-
-#: Metrics gated by default (the paper's headline four).
-DEFAULT_GATE_METRICS = ("row_energy_nj", "app_error", "fit", "ipc")
 
 #: Metrics summarized with CIs in every report group.
 SUMMARY_METRICS = ("row_energy_nj", "app_error", "fit", "ipc", "coverage")
@@ -120,17 +117,13 @@ class ExperimentResults:
     The object is cheap to construct; every aggregate below it is a
     ``cached_property`` computed on first touch. Construct a fresh
     object after re-ingesting — memoized state deliberately never
-    invalidates.
+    invalidates. ``spec`` carries the statistics and gate settings
+    (baseline scheme, bootstrap confidence and resamples, gate
+    thresholds and metrics), so the CLI and the service read one set.
     """
 
     warehouse: Warehouse
-    baseline_scheme: str = "Baseline"
-    confidence: float = 0.95
-    resamples: int = DEFAULT_RESAMPLES
-    alpha: float = 0.05
-    min_effect: float = 0.01
-    min_samples: int = 4
-    gate_metrics: Sequence[str] = DEFAULT_GATE_METRICS
+    spec: WarehouseSpec = WarehouseSpec()
 
     # ------------------------------------------------------------------
     @cached_property
@@ -160,7 +153,8 @@ class ExperimentResults:
         if not values:
             return None
         return bootstrap_ci(
-            values, confidence=self.confidence, resamples=self.resamples
+            values, confidence=self.spec.confidence,
+            resamples=self.spec.resamples,
         )
 
     @cached_property
@@ -187,11 +181,11 @@ class ExperimentResults:
         out: dict[tuple, Optional[BootstrapCI]] = {}
         for key, rows in self.groups.items():
             app, scheme, device, ecc = key
-            if scheme == self.baseline_scheme:
+            if scheme == self.spec.baseline_scheme:
                 out[key] = None
                 continue
             base_rows = self.groups.get(
-                (app, self.baseline_scheme, device, ecc), []
+                (app, self.spec.baseline_scheme, device, ecc), []
             )
             base_by_seed = {
                 r.get("seed"): r for r in base_rows
@@ -279,9 +273,9 @@ class ExperimentResults:
                 ),
             })
         return {
-            "baseline_scheme": self.baseline_scheme,
-            "confidence": self.confidence,
-            "resamples": self.resamples,
+            "baseline_scheme": self.spec.baseline_scheme,
+            "confidence": self.spec.confidence,
+            "resamples": self.spec.resamples,
             "n_experiments": len(self.rows),
             "n_groups": len(groups),
             "n_failures": self.failure_count,
@@ -311,7 +305,7 @@ class ExperimentResults:
             })
         return {
             "version": SNAPSHOT_VERSION,
-            "baseline_scheme": self.baseline_scheme,
+            "baseline_scheme": self.spec.baseline_scheme,
             "groups": groups,
         }
 
@@ -342,7 +336,7 @@ class ExperimentResults:
             base = base_groups.get(key)
             if base is None:
                 continue
-            for metric in self.gate_metrics:
+            for metric in self.spec.metrics:
                 direction = METRIC_DIRECTIONS.get(metric)
                 if direction is None:
                     raise ValueError(f"metric has no direction: {metric}")
@@ -365,11 +359,11 @@ class ExperimentResults:
                     rel = (cur_mean - base_mean) / denom
                 else:
                     rel = (base_mean - cur_mean) / denom
-                if rel <= self.min_effect:
+                if rel <= self.spec.min_effect:
                     continue
                 small = (
-                    len(current) < self.min_samples
-                    or len(baseline) < self.min_samples
+                    len(current) < self.spec.min_samples
+                    or len(baseline) < self.spec.min_samples
                 )
                 raw_p: Optional[float] = None
                 if not small:
@@ -397,7 +391,7 @@ class ExperimentResults:
                 verdicts.append(reg)
                 continue
             adj = adjusted_by_index[i]
-            if adj <= self.alpha:
+            if adj <= self.spec.alpha:
                 verdicts.append(
                     Regression(**{**reg.to_dict(), "p_value": adj})
                 )

@@ -136,20 +136,20 @@ def resolve_warehouse_path(path: str | Path | None = None) -> Path:
 
 
 def _flatten(
-    key: str, blob: dict, report_bytes: bytes, mtime: float, now: float
+    key: str, head: dict, report_bytes: bytes, mtime: float, now: float
 ) -> tuple[Optional[dict], list[dict]]:
     """One cache blob -> (experiments row, tenant rows); None if broken.
 
-    The columns come from the decoded blob; the ``report`` column is the
-    report's bytes as the cache stored them.
+    The columns come from the blob's head and its decoded report; the
+    ``report`` column is the report's bytes as the cache stored them.
     """
     from repro.sim.report import SimReport
 
     try:
-        report = SimReport.from_dict(blob["report"])
+        report = SimReport.from_dict(json.loads(report_bytes))
     except (KeyError, TypeError, ValueError, AttributeError):
         return None, []
-    meta = blob.get("meta") if isinstance(blob.get("meta"), dict) else {}
+    meta = head.get("meta") if isinstance(head.get("meta"), dict) else {}
     spec = meta.get("spec") if isinstance(meta.get("spec"), dict) else {}
     ecc_section = spec.get("ecc") if isinstance(spec.get("ecc"), dict) else {}
     row = {
@@ -274,14 +274,14 @@ class Warehouse:
 
         Shares the lazy cache walk with ``cache info --json``, so the
         two views of the cache can never drift, and reads each blob
-        once. Blobs without a ``meta`` sidecar (stored before the
-        warehouse existed) ingest with NULL seed/scale/device — still
+        once. Blobs without a ``meta`` sidecar (stored by a bare
+        ``ResultCache.store``) ingest with NULL seed/scale/device — still
         queryable by app and scheme.
         """
         now = time.time()
         count = 0
-        for key, blob, report_bytes, mtime in cache.iter_reports():
-            row, tenant_rows = _flatten(key, blob, report_bytes, mtime, now)
+        for key, head, report_bytes, mtime in cache.iter_reports():
+            row, tenant_rows = _flatten(key, head, report_bytes, mtime, now)
             if row is None:
                 continue
             columns = ", ".join(row)

@@ -12,10 +12,10 @@ the optional ``meta`` sidecar, ``report_sha256`` and, last, ``report``.
 The ``report`` member is written once as the compact JSON bytes of
 :func:`encode_report`, and ``report_sha256`` is the SHA-256 of exactly
 those bytes, so :meth:`ResultCache.load_bytes` can hand the report to a
-response or a warehouse row as stored, checked but never decoded. A
-blob whose bytes do not match their digest is quarantined; a blob
-without the digest (written before it existed) is decoded as a whole.
-Only this module knows the layout.
+response or a warehouse row as stored, checked but never decoded. Every
+read checks the digest: a current-format blob whose bytes do not match
+it, or that has none, is quarantined. Only this module knows the
+layout.
 
 Invalidation is structural: changing any field of
 :class:`~repro.config.scheduler.SchedulerConfig` or
@@ -84,7 +84,8 @@ def encode_report(report: SimReport) -> bytes:
 
 def _split_blob(raw: bytes) -> tuple[dict, Optional[bytes]]:
     """``(head, report bytes)`` of a blob with a digest, ``(blob,
-    None)`` of one without; raises ``ValueError`` for a damaged blob.
+    None)`` of one without, so its format version can be read; raises
+    ``ValueError`` for a damaged blob.
 
     The head is every member but ``report``. The report bytes are
     returned only once they match ``report_sha256``.
@@ -200,31 +201,31 @@ class ResultCache:
             pass
         self.quarantined += 1
 
-    def _read(self, path: Path) -> Optional[tuple[dict, Optional[bytes]]]:
-        """The blob at ``path`` as :func:`_split_blob` returns it; None
-        when it is missing, damaged (then quarantined) or of another
-        format version (then kept: healthy, just written by a different
-        build)."""
+    def _read(self, path: Path) -> Optional[tuple[dict, bytes]]:
+        """``(head, checked report bytes)`` of the blob at ``path``;
+        None when it is missing, of another format version (then kept:
+        healthy, just written by a different build, whatever its
+        layout) or damaged (then quarantined). A current-format blob
+        without its digest counts as damaged."""
         try:
-            blob, data = _split_blob(path.read_bytes())
+            head, data = _split_blob(path.read_bytes())
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
             self._quarantine(path)
             return None
-        if blob.get("format_version") != CACHE_FORMAT_VERSION:
+        if head.get("format_version") != CACHE_FORMAT_VERSION:
             return None
-        return blob, data
+        if data is None:
+            self._quarantine(path)
+            return None
+        return head, data
 
-    def _decode(
-        self, key: str, blob: dict, data: Optional[bytes]
-    ) -> Optional[SimReport]:
-        """The report of a read blob; None, and the blob quarantined,
+    def _decode(self, key: str, data: bytes) -> Optional[SimReport]:
+        """The report of checked bytes; None, and the blob quarantined,
         when :meth:`SimReport.from_dict` rejects it."""
         try:
-            return SimReport.from_dict(
-                blob["report"] if data is None else json.loads(data)
-            )
+            return SimReport.from_dict(json.loads(data))
         except (KeyError, TypeError, ValueError, AttributeError):
             self._quarantine(self.path_for(key))
             return None
@@ -240,17 +241,16 @@ class ResultCache:
         """Return the cached report for ``key``, or None on a miss.
 
         Malformed blobs self-heal: undecodable JSON, non-dict documents,
-        report bytes that do not match their digest, a missing
-        ``report`` section, or payloads :meth:`SimReport.from_dict`
-        rejects are unlinked and counted in :attr:`quarantined`, then
-        reported as a plain miss. A format-version mismatch is a miss
-        but is *kept* on disk — the blob is healthy, just written by a
-        different build.
+        a missing digest, report bytes that do not match it, or payloads
+        :meth:`SimReport.from_dict` rejects are unlinked and counted in
+        :attr:`quarantined`, then reported as a plain miss. A
+        format-version mismatch is a miss but is *kept* on disk — the
+        blob is healthy, just written by a different build.
         """
         if not self.enabled:
             return None
         found = self._read(self.path_for(key))
-        report = None if found is None else self._decode(key, *found)
+        report = None if found is None else self._decode(key, found[1])
         self._count(report)
         return report
 
@@ -258,19 +258,14 @@ class ResultCache:
         """The report bytes cached for ``key`` (see
         :func:`encode_report`), or None on a miss.
 
-        A blob with a digest is read and checked, never decoded. A blob
-        without one takes the decode path of :meth:`load` and is
-        re-encoded. Quarantine and miss rules are those of :meth:`load`.
+        The bytes are returned as read and checked against their
+        digest, never decoded. Quarantine and miss rules are those of
+        :meth:`load`.
         """
         if not self.enabled:
             return None
         found = self._read(self.path_for(key))
-        data = None
-        if found is not None:
-            blob, data = found
-            if data is None:
-                report = self._decode(key, blob, None)
-                data = None if report is None else encode_report(report)
+        data = None if found is None else found[1]
         self._count(data)
         return data
 
@@ -291,8 +286,7 @@ class ResultCache:
         to the report (``{"app", "scale", "seed", "spec"}`` from the
         runner). The content key is a one-way hash, so without it the
         warehouse ingest could not recover which seed or device produced
-        a blob. :meth:`load` ignores the extra key, so old and new blobs
-        interoperate without a format-version bump.
+        a blob.
         """
         if not self.enabled:
             return None
@@ -354,88 +348,52 @@ class ResultCache:
         return sorted(found)
 
     def _walk(self):
-        """Yield ``(key, blob, report bytes, mtime, size)`` per healthy
-        current-format blob, reading each once; ``report bytes`` is None
-        for a blob without a digest. Damaged blobs are quarantined and
-        version mismatches skipped, as in :meth:`load`."""
+        """Yield ``(key, head, report bytes, stat)`` per healthy
+        current-format blob, reading and checking each once. Damaged
+        blobs are quarantined and version mismatches skipped, as in
+        :meth:`load`."""
         for path in self.entries():
             found = self._read(path)
             if found is None:
                 continue
-            blob, data = found
             try:
                 stat = path.stat()
-                if data is not None:
-                    blob["report"] = json.loads(data)
-            except FileNotFoundError:
+            except OSError:
                 continue  # concurrently cleared
-            except (OSError, ValueError):
-                self._quarantine(path)
-                continue
-            yield path.stem, blob, data, stat.st_mtime, stat.st_size
+            yield path.stem, *found, stat
 
     def iter_blobs(self):
-        """Lazily yield ``(key, blob_dict, mtime, size_bytes)`` tuples.
+        """Lazily yield ``(key, head, mtime, size_bytes)`` tuples.
 
-        One blob is resident at a time, so a multi-thousand-entry cache
-        can be traversed in constant memory — this is the shared walk
-        under :meth:`iter_entries` and ``cache info --json``.
-        Corrupt blobs are quarantined exactly as in :meth:`load`;
-        format-version mismatches are skipped but kept on disk (healthy,
-        just written by a different build). Session hit/miss counters
-        are *not* touched: a traversal is not a lookup.
+        The head is every blob member but the report: ``format_version``,
+        ``workload``, ``scheme``, ``meta`` and ``report_sha256``. One
+        blob is resident at a time, so a multi-thousand-entry cache can
+        be traversed in constant memory; ``cache info --json`` rides
+        this walk. Corrupt blobs are quarantined exactly as in
+        :meth:`load`; format-version mismatches are skipped but kept on
+        disk (healthy, just written by a different build). Session
+        hit/miss counters are *not* touched: a traversal is not a
+        lookup.
         """
-        for key, blob, _data, mtime, size in self._walk():
-            yield key, blob, mtime, size
+        for key, head, _data, stat in self._walk():
+            yield key, head, stat.st_mtime, stat.st_size
 
     def iter_reports(self):
-        """Lazily yield ``(key, blob_dict, report_bytes, mtime)`` tuples:
-        the walk of :meth:`iter_blobs` plus each report's compact JSON
-        bytes as stored, for the warehouse ingest. A blob without a
-        digest stores no such bytes, so its report section is encoded
-        here."""
-        for key, blob, data, mtime, _size in self._walk():
-            if data is None:
-                data = json.dumps(
-                    blob.get("report"), separators=(",", ":")
-                ).encode("utf-8")
-            yield key, blob, data, mtime
-
-    def iter_entries(self):
-        """Lazily yield ``(content_key, SimReport, mtime)`` tuples.
-
-        Blobs whose ``report`` section no longer deserializes are
-        quarantined (unlinked + counted), matching :meth:`load`.
-        """
-        for key, blob, mtime, _size in self.iter_blobs():
-            report = self._decode(key, blob, None)
-            if report is not None:
-                yield key, report, mtime
-
-    def size_bytes(self) -> int:
-        """Total bytes occupied by cached blobs.
-
-        Blobs deleted between listing and ``stat`` (concurrent clear)
-        count as zero instead of raising ``FileNotFoundError``.
-        """
-        total = 0
-        for path in self.entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
+        """Lazily yield ``(key, head, report_bytes, mtime)`` tuples: the
+        walk of :meth:`iter_blobs` plus each report's compact JSON bytes
+        as stored and checked, for the warehouse ingest."""
+        for key, head, data, stat in self._walk():
+            yield key, head, data, stat.st_mtime
 
     def info(self, *, deep: bool = False) -> dict:
         """Machine-readable snapshot of the cache (one atomic listing).
 
         ``entries`` and ``size_bytes`` are derived from a *single*
         traversal, so they describe the same instant even when another
-        process is storing or clearing concurrently — calling
-        :meth:`entries` and :meth:`size_bytes` separately could report a
-        count and a byte total from two different cache states. Session
-        counters (hits/misses/stores/quarantined) describe this
-        process's cache object, not the directory.
+        process is storing or clearing concurrently; a blob deleted
+        between listing and ``stat`` counts in ``entries`` with zero
+        bytes. Session counters (hits/misses/stores/quarantined)
+        describe this process's cache object, not the directory.
 
         ``deep=True`` rides the same :meth:`iter_blobs` walk the
         warehouse ingest uses and additionally reports per-workload and

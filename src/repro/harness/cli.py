@@ -686,16 +686,7 @@ def _report_main(argv: list[str]) -> int:
                 print(f"{len(rows)} row(s)")
             return EXIT_OK
 
-        results = ExperimentResults(
-            warehouse,
-            baseline_scheme=spec.baseline_scheme,
-            confidence=spec.confidence,
-            resamples=spec.resamples,
-            alpha=spec.alpha,
-            min_effect=spec.min_effect,
-            min_samples=spec.min_samples,
-            gate_metrics=spec.metrics,
-        )
+        results = ExperimentResults(warehouse, spec)
         if args.action == "render":
             summary = results.summary()
             markdown = render_markdown(summary)

@@ -30,7 +30,10 @@ then a clean cell.  There is no randomness anywhere.
 The service daemon reuses the same grammar for its worker tier: there
 the ordinal is the tier-wide *dispatch number* (jobs in first-dispatch
 order; retries keep their job's ordinal and advance only the attempt),
-so a plan written for a sweep reads identically for a job stream.
+so a plan written for a sweep reads identically for a job stream. The
+daemon takes ``crash``, ``exit`` and ``hang`` faults, which fire before
+a simulation; it refuses a plan with a ``corrupt`` fault, which only the
+runner's cache store acts on.
 
 Plan syntax (``REPRO_CHAOS`` env var or ``--chaos``)::
 
@@ -48,7 +51,6 @@ service tier are written exactly like that.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 import traceback as traceback_mod
@@ -221,19 +223,15 @@ class FaultPlan:
 def corrupt_blob(path: Path) -> None:
     """Deterministically garble a cache blob in place.
 
-    The blob keeps its JSON framing and current format version but loses
-    the ``report`` payload, so a reader passes ``json.load`` and the
-    version check and fails inside ``SimReport.from_dict`` — the deepest
-    self-healing path (a version mismatch would merely be a polite miss).
+    The head and its ``report_sha256`` stay intact and the stored report
+    bytes are replaced, so a reader passes the version check and fails
+    the digest check that every read runs.
     """
-    from repro.harness.cache import CACHE_FORMAT_VERSION
+    from repro.harness.cache import _REPORT_OPEN
 
-    path.write_text(
-        json.dumps(
-            {"format_version": CACHE_FORMAT_VERSION, "report": "chaos"}
-        ),
-        encoding="utf-8",
-    )
+    raw = path.read_bytes()
+    at = raw.index(_REPORT_OPEN) + len(_REPORT_OPEN)
+    path.write_bytes(raw[:at] + b'"chaos"}')
 
 
 # ----------------------------------------------------------------------

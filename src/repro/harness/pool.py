@@ -14,12 +14,11 @@ with workers that outlive individual matrices:
 * **Batched dispatch** — :meth:`submit_many` groups cells into one
   message per worker; the worker streams one result message back per
   cell as it completes, so batching costs no latency at the tail.
-* **Codec wire format** — cells travel as the JSON-shaped dicts of
-  :mod:`repro.config.codec` (the same encoding the disk cache and the
-  service API use), and reports come back as ``SimReport.to_dict()``
-  payloads.  Nothing on the hot path depends on pickling repro classes;
-  only a *failing* cell's exception object rides the pipe's native
-  pickle so the supervisor sees the real type (e.g. ``ChaosCrash``).
+* **Pickled objects** — both ends run the same code, so a cell, its
+  :class:`~repro.harness.faults.FaultPlan`, each telemetry window and
+  the finished :class:`~repro.sim.report.SimReport` cross the pipe as
+  the objects themselves, pickled, and so does a failing cell's
+  exception, so the supervisor sees its real type (e.g. ``ChaosCrash``).
 * **Live telemetry** — while a ``spec.telemetry`` cell runs, its
   worker sends each window as the sampler closes it, a ``win`` message
   ahead of the cell's ``ok`` or ``err``; the collector hands it to the
@@ -55,8 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.sim.report import SimReport
     from repro.telemetry.series import WindowSample
 
-#: A work item, exactly the tuple the seed pool entry point took:
-#: ``(cache key, CellSpec, FaultPlan | None, cell index, attempt)``.
+#: A work item: ``(CellSpec, FaultPlan | None, cell index, attempt)``.
 WorkItem = tuple
 
 
@@ -77,53 +75,6 @@ class _RemoteTraceback(Exception):
         return self.tb
 
 
-def _encode_item(item: WorkItem) -> dict:
-    """Work item -> codec-shaped wire payload."""
-    from repro.config import codec
-
-    key, spec, faults, index, attempt = item
-    return {
-        "key": key,
-        "cell": codec.encode(spec),
-        "faults": codec.encode(faults) if faults is not None else None,
-        "index": index,
-        "attempt": attempt,
-    }
-
-
-def _run_payload(
-    payload: dict, workloads: dict, on_window: Callable
-) -> tuple[str, dict, float]:
-    """Decode and simulate one cell; returns (key, report dict, secs).
-
-    Runs inside a worker process, with ``workloads`` the one-entry
-    workload memo of the batch and ``on_window`` the sink of the cell's
-    telemetry windows. Chaos faults fire inside ``_simulate_cell`` with
-    ``in_worker=True``, so an injected ``exit`` genuinely kills this
-    process.
-    """
-    from repro.config import codec
-    from repro.harness import runner as runner_mod
-    from repro.harness.faults import FaultPlan
-
-    spec = codec.decode(runner_mod.CellSpec, payload["cell"])
-    faults = (
-        codec.decode(FaultPlan, payload["faults"])
-        if payload["faults"] is not None
-        else None
-    )
-    report, elapsed = runner_mod._simulate_cell(
-        spec,
-        workloads=workloads,
-        faults=faults,
-        cell_index=payload["index"],
-        attempt=payload["attempt"],
-        in_worker=True,
-        on_window=on_window,
-    )
-    return payload["key"], report.to_dict(), elapsed
-
-
 def _worker_main(conn) -> None:
     """Worker process body: drain batches from ``conn`` until EOF/None.
 
@@ -132,19 +83,21 @@ def _worker_main(conn) -> None:
     write from the parent); under spawn it is paid once per worker
     instead of once per cell.
 
-    Each cell ends in ``("ok", task, key, report dict, secs)`` or
-    ``("err", task, exc, traceback)``; a telemetry cell sends
-    ``("win", task, sample dict)`` for each window before that.  Besides
-    cell batches the pipe carries ``("ping", seq)`` heartbeat probes,
-    answered with ``("pong", seq, pid)``.  A worker only reads the pipe
+    Each cell ends in ``("ok", task, report, secs)`` or ``("err", task,
+    exc, traceback)``; a telemetry cell sends ``("win", task, sample)``
+    for each window before that.  Chaos faults fire inside
+    ``_simulate_cell`` with ``in_worker=True``, so an injected ``exit``
+    genuinely kills this process.  Besides cell batches the pipe
+    carries ``("ping", seq)`` heartbeat probes, answered with
+    ``("pong", seq, pid)``.  A worker only reads the pipe
     between batches, so a pong certifies *idle* liveness; a worker busy
     simulating answers late, which is exactly why busy workers are
     supervised by per-job deadlines instead.
     """
     import os as os_mod
 
-    import repro.harness.runner  # noqa: F401  (pre-import the stack)
-    import repro.sim.system  # noqa: F401
+    # Pre-imports the whole simulation stack.
+    from repro.harness.runner import _simulate_cell
 
     while True:
         try:
@@ -162,14 +115,17 @@ def _worker_main(conn) -> None:
         # One batch message shares a workload memo; an idle worker
         # keeps no workload alive.
         workloads: dict = {}
-        for task_id, payload in msg:
+        for task_id, (cell, faults, index, attempt) in msg:
             def on_window(sample, task_id=task_id) -> None:
-                conn.send(("win", task_id, sample.to_dict()))
+                conn.send(("win", task_id, sample))
 
             try:
-                key, report_dict, elapsed = _run_payload(
-                    payload, workloads, on_window
+                report, elapsed = _simulate_cell(
+                    cell, workloads=workloads, faults=faults,
+                    cell_index=index, attempt=attempt, in_worker=True,
+                    on_window=on_window,
                 )
+                conn.send(("ok", task_id, report, elapsed))
             except Exception as exc:
                 tb = traceback.format_exc()
                 try:
@@ -181,8 +137,6 @@ def _worker_main(conn) -> None:
                         "err", task_id,
                         RuntimeError(f"{type(exc).__name__}: {exc}"), tb,
                     ))
-            else:
-                conn.send(("ok", task_id, key, report_dict, elapsed))
         workloads.clear()
 
 
@@ -250,16 +204,13 @@ class WarmPool:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def submit(self, item: WorkItem) -> Future:
-        """Dispatch one cell; the future resolves to (key, report, s)."""
-        return self.submit_many([item])[0]
-
     def submit_many(
         self,
         items: list[WorkItem],
         on_window: Optional[Callable[["WindowSample"], None]] = None,
     ) -> list[Future]:
-        """Dispatch cells batched per worker, one pipe message each.
+        """Dispatch cells batched per worker, one pipe message each; each
+        future resolves to ``(report, seconds)``.
 
         Assignment is least-loaded: while the supervising runner keeps
         at most ``size`` cells in flight (the timeout mode), every cell
@@ -270,7 +221,7 @@ class WarmPool:
         futures are pending.
         """
         futures: list[Future] = []
-        batches: dict[int, list[tuple[int, dict]]] = {}
+        batches: dict[int, list[tuple[int, WorkItem]]] = {}
         with self._lock:
             if self.closed:
                 raise RuntimeError("warm pool is shut down")
@@ -284,9 +235,7 @@ class WarmPool:
                     key=lambda i: (len(workers[i].inflight), i),
                 )
                 workers[target].inflight[task_id] = future
-                batches.setdefault(target, []).append(
-                    (task_id, _encode_item(item))
-                )
+                batches.setdefault(target, []).append((task_id, item))
                 futures.append(future)
         for target, batch in batches.items():
             worker = workers[target]
@@ -532,9 +481,6 @@ class WarmPool:
                 self._deliver(worker, msg)
 
     def _deliver(self, worker: _ProcessWorker, msg: tuple) -> None:
-        from repro.sim.report import SimReport
-        from repro.telemetry.series import WindowSample
-
         kind = msg[0]
         # Any message off the pipe proves the worker alive — refresh the
         # heartbeat so a long simulation is not misread as a wedge.
@@ -548,20 +494,15 @@ class WarmPool:
                 # future that kill_owner/close has detached.
                 future = worker.inflight.get(task_id)
                 if future is not None and future.on_window is not None:
-                    future.on_window(WindowSample.from_dict(msg[2]))
+                    future.on_window(msg[2])
                 return
             future = worker.inflight.pop(task_id, None)
         if future is None:  # detached by kill_owner/close
             return
         worker.tasks_done += 1
         if kind == "ok":
-            _, _, key, report_dict, elapsed = msg
-            try:
-                report = SimReport.from_dict(report_dict)
-            except Exception as exc:
-                self._resolve(future, exc=exc)
-            else:
-                self._resolve(future, result=(key, report, elapsed))
+            _, _, report, elapsed = msg
+            self._resolve(future, result=(report, elapsed))
         else:
             worker.crashes_seen += 1
             _, _, exc, tb = msg
@@ -615,8 +556,7 @@ async def run_cells(
             if on_dispatch is not None:
                 on_dispatch(record)
         return pool.submit_many([
-            (record.key, record.cell, faults, record.index,
-             record.attempts + 1)
+            (record.cell, faults, record.index, record.attempts + 1)
             for record in batch
         ], on_window)
 
@@ -634,7 +574,7 @@ async def run_cells(
                     started = time.monotonic()
                     future = submit([record])[0]
                 try:
-                    _, report, elapsed = await asyncio.wait_for(
+                    report, elapsed = await asyncio.wait_for(
                         asyncio.wrap_future(future), timeout
                     )
                 except asyncio.TimeoutError:

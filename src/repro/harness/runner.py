@@ -17,9 +17,9 @@ Three layers keep repeated figure reproductions cheap:
 3. **Parallel execution** — ``Runner(jobs=N)`` fans the independent
    cells of :meth:`Runner.run_matrix` out over a persistent
    :class:`~repro.harness.pool.WarmPool`: workers import the simulation
-   stack once, receive cells *batched* over the codec wire format, and
-   survive across ``run_matrix`` calls (so a benchmark loop pays the
-   spawn cost once). Cells are deduplicated by content key before
+   stack once, receive cells *batched* as pickled objects, and survive
+   across ``run_matrix`` calls (so a benchmark loop pays the spawn
+   cost once). Cells are deduplicated by content key before
    dispatch, and every cell (serial or parallel) resets the request-id
    counter first, so serial, parallel, and cached runs produce
    field-identical reports.

@@ -196,6 +196,13 @@ class ServiceDaemon:
             cache = ResultCache(enabled=True)
         if not cache.enabled:
             raise ValueError("the daemon needs an enabled result cache")
+        if chaos is not None and any(
+            spec.kind == "corrupt" for spec in chaos.specs
+        ):
+            raise ValueError(
+                "the daemon takes crash, exit and hang chaos faults, "
+                "not corrupt"
+            )
         self.host = host
         self.port = port
         self.workers = workers

@@ -107,9 +107,12 @@ class GPUSystem:
     ) -> "GPUSystem":
         """Assemble a system from a :class:`~repro.sim.spec.SimSpec`.
 
-        The spec's device (when named) is resolved onto its GPU config;
-        ``spec.telemetry`` creates a fresh hub unless one is passed in.
+        The whole spec is validated first, so every simulation path
+        refuses what admission refuses. The spec's device (when named)
+        is resolved onto its GPU config; ``spec.telemetry`` creates a
+        fresh hub unless one is passed in.
         """
+        spec.validate()
         if telemetry is None and spec.telemetry:
             telemetry = MetricsHub()
         system = cls(

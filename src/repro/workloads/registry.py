@@ -2,20 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Callable, Type
+from typing import Callable
 
 from repro.errors import WorkloadError
 from repro.workloads.base import Workload
 
 _REGISTRY: dict[str, Callable[..., Workload]] = {}
-
-
-def register_workload(cls: Type[Workload]) -> Type[Workload]:
-    """Class decorator (or direct call) adding a workload to the registry."""
-    if not cls.name:
-        raise WorkloadError(f"{cls.__name__} has no name")
-    _REGISTRY[cls.name] = cls
-    return cls
 
 
 def _ensure_loaded() -> None:

@@ -5,7 +5,7 @@ CI properties under Hypothesis (interval nesting in the confidence
 level, determinism, degenerate samples) and Mann–Whitney U against
 both hand-computed fixtures and brute-force enumeration of the exact
 null distribution. On top of that sit the integration layers: cache
-traversal (``iter_blobs``/``iter_entries``), sqlite ingest
+traversal (``iter_blobs``/``iter_reports``), sqlite ingest
 idempotency, the end-to-end ingest → render → diff pipeline on a real
 2-seed matrix (including a seeded synthetic regression that must trip
 exit code 5), and the service's ``/v1/experiments`` routes returning
@@ -317,13 +317,14 @@ def warehouse_db(sweep_cache, tmp_path):
 
 
 class TestCacheTraversal:
-    def test_iter_entries_matches_load(self, sweep_cache):
+    def test_iter_reports_matches_load(self, sweep_cache):
         cache = ResultCache(sweep_cache, enabled=True)
-        seen = list(cache.iter_entries())
+        seen = list(cache.iter_reports())
         assert len(seen) == len(cache.entries())
-        for key, report, mtime in seen:
-            assert isinstance(report, SimReport)
+        for key, head, data, mtime in seen:
+            assert "report" not in head
             assert mtime > 0
+            report = SimReport.from_dict(json.loads(data))
             loaded = cache.load(key)
             assert loaded is not None
             assert loaded.to_dict() == report.to_dict()
@@ -339,8 +340,8 @@ class TestCacheTraversal:
     def test_iter_blobs_quarantines_corrupt(self, sweep_cache, tmp_path):
         cache = ResultCache(tmp_path / "c", enabled=True)
         src = ResultCache(sweep_cache, enabled=True)
-        for key, report, _mtime in src.iter_entries():
-            cache.store(key, report)
+        for key, _head, _mtime, _size in src.iter_blobs():
+            cache.store(key, src.load(key))
         victim = cache.entries()[0]
         victim.write_text("{ torn", encoding="utf-8")
         healthy = len(cache.entries()) - 1
@@ -472,6 +473,18 @@ class TestExperimentResults:
         for group in summary["groups"]:
             ipc = group["metrics"]["ipc"]
             assert ipc is not None and ipc["n"] == len(SEEDS)
+
+    def test_settings_come_from_the_warehouse_spec(self, warehouse_db):
+        with Warehouse(warehouse_db) as warehouse:
+            default = ExperimentResults(warehouse).summary()
+            assert default == ExperimentResults(
+                warehouse, WarehouseSpec()
+            ).summary()
+            tuned = ExperimentResults(
+                warehouse, WarehouseSpec(confidence=0.9, resamples=200)
+            ).summary()
+        assert (tuned["confidence"], tuned["resamples"]) == (0.9, 200)
+        assert tuned["groups"] != default["groups"]
 
     def test_snapshot_round_trip_clean_diff(self, warehouse_db):
         with Warehouse(warehouse_db) as warehouse:

@@ -7,7 +7,7 @@ integration suite in ``test_fault_tolerance.py``):
 * :class:`FaultPlan` parsing (``REPRO_CHAOS`` grammar) and firing rules;
 * :class:`CellFailure` records and the manifest shape;
 * self-healing ``ResultCache.load`` across every corruption mode, and
-  concurrent-deletion tolerance of ``entries``/``size_bytes``;
+  concurrent-deletion tolerance of ``entries`` and ``info()``;
 * the engine's enriched ``max_events`` diagnostic (including the
   system-level per-bank pending snapshot).
 """
@@ -320,7 +320,7 @@ class TestCacheConcurrentDeletion:
         ghost = path.parent / "deadbeef.json"
         # Simulate a blob deleted between entries() and stat().
         cache.entries = lambda: [path, ghost]  # type: ignore[method-assign]
-        assert cache.size_bytes() == path.stat().st_size
+        assert cache.info()["size_bytes"] == path.stat().st_size
 
     def test_entries_tolerates_stray_and_vanishing_shards(
         self, stored_cache_dir, tmp_path
@@ -333,7 +333,7 @@ class TestCacheConcurrentDeletion:
     def test_entries_on_missing_root(self, tmp_path):
         cache = ResultCache(tmp_path / "nope", enabled=True)
         assert cache.entries() == []
-        assert cache.size_bytes() == 0
+        assert cache.info()["size_bytes"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -144,6 +144,33 @@ class TestParallelDeterminism:
             assert a[cell] == b[cell], f"report mismatch for {cell}"
         assert serial.simulations_run == parallel.simulations_run == 4
 
+    def test_pool_pipe_carries_cells_and_reports_as_objects(
+        self, monkeypatch
+    ) -> None:
+        """Cells and reports cross the warm-pool pipe pickled: with the
+        config codec's decode and ``SimReport.from_dict`` broken (in the
+        parent and, by fork, in the workers) a pooled matrix still
+        equals the serial one."""
+        from repro.config import codec
+        from repro.sim.report import SimReport
+
+        serial = Runner(scale=SCALE, verbose=False, cache=None)
+        expected = serial.run_matrix(APPS, _schemes(), measure_error=True)
+
+        def broken(*args, **kwargs):
+            raise AssertionError("a pipe payload went through the codec")
+
+        monkeypatch.setattr(codec, "decode", broken)
+        monkeypatch.setattr(SimReport, "from_dict", staticmethod(broken))
+        pooled = Runner(
+            scale=SCALE, verbose=False, cache=None, jobs=2, retries=0
+        )
+        try:
+            got = pooled.run_matrix(APPS, _schemes(), measure_error=True)
+        finally:
+            pooled.close()
+        assert got == expected
+
     def test_matrix_dedupes_cells_sharing_a_key(self) -> None:
         runner = Runner(scale=SCALE, verbose=False, cache=None)
         baseline = evaluation_schemes()["Baseline"]
@@ -321,4 +348,4 @@ class TestResultCache:
         assert cache.entries()
         assert cache.clear() == 1
         assert cache.entries() == []
-        assert cache.size_bytes() == 0
+        assert cache.info()["size_bytes"] == 0

@@ -13,9 +13,11 @@ column. Pinned here:
    tail or a tampered digest is quarantined by ``load``, by
    ``load_bytes`` and by the warehouse ingest, and re-simulated over
    HTTP.
-3. **Old blobs still work** — a blob in the pre-digest layout is
-   served and ingested, and the ingested column is byte-identical to
-   the re-encoding older builds stored.
+3. **A digest is required** — a current-version blob in the
+   pre-digest layout is damaged: ``load``, ``load_bytes`` and the
+   warehouse ingest quarantine it, and over HTTP it is simulated
+   again. The ingested column is byte-identical to the re-encoding
+   older builds stored.
 4. **One splice** — a cache hit, a tier job, a coalesced follower and
    a journal-recovered job all get the reference report as ``result``;
    a hit decodes and encodes no report, and a hit job holds no result
@@ -245,7 +247,7 @@ class TestDigestQuarantine:
 
 
 # ----------------------------------------------------------------------
-# 3. Pre-digest blobs, and the ingested column
+# 3. A digest is required, and the ingested column
 # ----------------------------------------------------------------------
 def _parent_column(path) -> str:
     """The ``report`` column a build without the digest ingested."""
@@ -254,8 +256,7 @@ def _parent_column(path) -> str:
 
 
 class TestStoredBytesIngest:
-    @pytest.mark.parametrize("layout", [_store, _store_parent_layout],
-                             ids=["digest", "pre-digest"])
+    @pytest.mark.parametrize("layout", [_store], ids=["digest"])
     def test_column_is_byte_identical_to_the_parents(
         self, simulated, tmp_path, layout
     ):
@@ -270,14 +271,19 @@ class TestStoredBytesIngest:
         assert row["activations"] == report.activations
         assert cache.quarantined == 0
 
-    def test_pre_digest_blob_is_served(self, simulated, tmp_path):
+    @pytest.mark.parametrize("reader", ["load", "load_bytes", "ingest"])
+    def test_pre_digest_blob_is_quarantined(
+        self, simulated, tmp_path, reader
+    ):
         spec, report = simulated
-        cache, path = _store_parent_layout(tmp_path, spec, report)
-        key = _cell(spec).key
-        assert cache.load(key).to_dict() == report.to_dict()
-        assert cache.load_bytes(key) == encode_report(report)
-        assert cache.quarantined == 0
-        assert path.exists()
+        cache, path = _store_parent_layout(tmp_path / "cache", spec, report)
+        if reader == "ingest":
+            assert _ingest(cache, tmp_path / "wh.sqlite") == []
+        else:
+            assert getattr(cache, reader)(_cell(spec).key) is None
+            assert cache.misses == 1
+        assert cache.quarantined == 1
+        assert not path.exists()
 
 
 # ----------------------------------------------------------------------
@@ -440,6 +446,8 @@ def test_corrupt_blob_is_quarantined_and_resimulated_over_http(
 
 
 def test_pre_digest_blob_is_served_over_http(simulated, tmp_path):
+    # Served only after a fresh simulation: the digest-less blob is
+    # quarantined at admission, like a torn one.
     spec, report = simulated
     cache, path = _store_parent_layout(tmp_path / "cache", spec, report)
     daemon = _daemon(tmp_path, cache=cache)
@@ -447,10 +455,11 @@ def test_pre_digest_blob_is_served_over_http(simulated, tmp_path):
     try:
         client = ServiceClient(port=daemon.port)
         job = _submit(client, spec)
-        assert job["outcome"] == "cached"
-        assert job["result"] == _reference(report)
-        assert client.job(job["id"])["result"] == _reference(report)
-        assert cache.quarantined == 0 and path.exists()
-        assert _simulations(daemon) == 0
+        assert job["outcome"] == "queued"
+        doc = client.wait(job["id"], timeout=WAIT)
+        assert doc["result"] == _reference(report)
+        assert cache.quarantined == 1
+        assert _simulations(daemon) == 1
+        assert cache.load_bytes(_cell(spec).key) == encode_report(report)
     finally:
         daemon.stop()

@@ -262,6 +262,36 @@ def test_the_daemon_refuses_a_disabled_cache(tmp_path, monkeypatch):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("plan", ["corrupt@0", "crash@0;corrupt@1"])
+def test_the_daemon_refuses_a_corrupt_fault(tmp_path, monkeypatch, capsys,
+                                           plan):
+    """Only the runner's cache store acts on ``corrupt``; the tier
+    fires only faults that come before a simulation."""
+    from repro.harness import cli
+    from repro.harness.faults import FaultPlan
+
+    with pytest.raises(ValueError, match="corrupt"):
+        ServiceDaemon(
+            port=0, cache=ResultCache(tmp_path / "cache", enabled=True),
+            journal_path=tmp_path / "journal.jsonl", verbose=False,
+            chaos=FaultPlan.parse(plan),
+        )
+
+    started: list[FaultPlan] = []
+    monkeypatch.setattr(ServiceDaemon, "run",
+                        lambda self: started.append(self.chaos))
+    argv = ["serve", "--port", "0", "--journal",
+            str(tmp_path / "journal.jsonl"),
+            "--cache-dir", str(tmp_path / "cache"), "--chaos"]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + [plan])
+    assert excinfo.value.code == 2
+    assert "corrupt" in capsys.readouterr().err
+    assert started == []
+    assert cli.main(argv + ["crash@0"]) == 0
+    assert started == [FaultPlan.parse("crash@0")]
+
+
 def test_malformed_spec_is_400_naming_the_key_path(tmp_path):
     daemon = _daemon(tmp_path, workers=0)
     daemon.start_in_thread()

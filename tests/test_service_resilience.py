@@ -244,14 +244,48 @@ class TestWarmPoolSupervision:
 
             cell = CellSpec(app="synthetic", scale=0.05, seed=7, spec=spec)
             futures = [
-                pool.submit((cell.key, cell, None, i, 1))
+                pool.submit_many([(cell, None, i, 1)])[0]
                 for i in range(2)
             ]
             for future in futures:
-                key, report, _ = future.result(timeout=60)
+                report, _ = future.result(timeout=60)
                 assert report.elapsed_mem_cycles > 0
         finally:
             pool.close()
+
+    def test_windows_and_reports_cross_the_pipe_as_objects(
+        self, monkeypatch
+    ):
+        from repro.config import codec
+        from repro.dram.request import reset_request_ids
+        from repro.harness.runner import CellSpec
+        from repro.sim.report import SimReport
+        from repro.sim.system import simulate_spec
+        from repro.telemetry.series import WindowSample
+
+        cell = CellSpec(
+            app="synthetic", scale=0.05, seed=7,
+            spec=SimSpec(scheduler=scheme_def("dyn-dms").build(),
+                         telemetry=True),
+        )
+        reset_request_ids()
+        expected = simulate_spec(cell.workload(), cell.spec)
+
+        def broken(*args, **kwargs):
+            raise AssertionError("a pipe payload went through the codec")
+
+        monkeypatch.setattr(codec, "decode", broken)
+        monkeypatch.setattr(SimReport, "from_dict", staticmethod(broken))
+        monkeypatch.setattr(WindowSample, "from_dict", staticmethod(broken))
+        windows: list = []
+        pool = WarmPool(1)
+        try:
+            (future,) = pool.submit_many([(cell, None, 0, 1)], windows.append)
+            report, _ = future.result(timeout=60)
+        finally:
+            pool.close()
+        assert report == expected
+        assert windows and windows == expected.timeline.samples
 
     def test_reap_stale_never_touches_busy_workers(self):
         pool = WarmPool(1)
@@ -271,7 +305,7 @@ class TestWarmPoolSupervision:
         pool.close()  # second close must be a no-op, not a crash
         assert pool.closed
         with pytest.raises(RuntimeError):
-            pool.submit(("k", None, None, 0, 1))
+            pool.submit_many([(None, None, 0, 1)])
 
 
 # ----------------------------------------------------------------------

@@ -182,6 +182,26 @@ class TestSimSpec:
         with pytest.raises(ConfigError, match="arbiter"):
             SimSpec(scheduler=SchedulerConfig(arbiter="lifo")).validate()
 
+    def test_every_simulation_path_validates_the_whole_spec(self) -> None:
+        """A fault probability outside [0, 1] is refused by a direct
+        ``simulate_spec`` and by the runner, as admission refuses it."""
+        from repro.harness.runner import Runner
+        from repro.harness.schemes import evaluation_schemes
+        from repro.sim.system import simulate_spec
+        from repro.workloads.registry import get_workload
+
+        spec = SimSpec(faults=FaultConfig(enabled=True, p_bit=2.0))
+        with pytest.raises(ConfigError, match="faults.p_bit"):
+            simulate_spec(get_workload("synthetic", scale=0.05, seed=7), spec)
+        runner = Runner(scale=0.05, spec=spec, cache=None, verbose=False,
+                        retries=0, keep_going=True)
+        result = runner.run_matrix(
+            ["synthetic"], {"Baseline": evaluation_schemes()["Baseline"]}
+        )
+        (failure,) = result.failures
+        assert failure.error_type == "ConfigError"
+        assert "faults.p_bit" in failure.message
+
 
 class TestSpecProperties:
     """Randomised codec/key coverage — the whole spec space, not
