@@ -186,7 +186,7 @@ def _usage_errors(parser: argparse.ArgumentParser):
 
 #: Runner options a subcommand's flags may set; a flag the subcommand
 #: does not take keeps the Runner default.
-_RUNNER_FLAGS = ("jobs", "profile", "retries", "cell_timeout", "keep_going")
+_RUNNER_FLAGS = ("jobs", "retries", "cell_timeout", "keep_going")
 
 
 def _runner(args: argparse.Namespace, **spec_fields) -> Runner:
@@ -197,7 +197,8 @@ def _runner(args: argparse.Namespace, **spec_fields) -> Runner:
     applies."""
     flags = vars(args)
     check_run_limits(**{
-        name: flags[name] for name in ("jobs", "retries", "cell_timeout")
+        name: flags[name]
+        for name in ("jobs", "retries", "cell_timeout", "scale", "seed")
         if name in flags
     })
     spec_fields.setdefault("device", flags.get("device"))
@@ -295,12 +296,14 @@ def _trace_main(argv: list[str]) -> int:
                 f"unknown workload {args.workload!r} "
                 f"(known: {', '.join(list_workloads())})"
             )
+        if args.window <= 0:
+            raise ValueError(f"--window must be positive, got {args.window}")
         runner = _runner(args)
 
     from repro.telemetry.export import system_chrome_trace, write_chrome_trace
     from repro.telemetry.export import write_jsonl
 
-    report, system, hub = runner.run_traced(
+    report, system = runner.run_traced(
         args.workload,
         scheme,
         window_cycles=args.window,
@@ -483,7 +486,7 @@ def _pareto_main(argv: list[str]) -> int:
     ecc_codes = _split(args.ecc)
     apps = _split(args.apps)
     with _usage_errors(parser):
-        check_run_limits(jobs=args.jobs)
+        check_run_limits(jobs=args.jobs, scale=args.scale, seed=args.seed)
         FaultConfig(enabled=True, p_bit=args.p_bit).validate()
         for scheme in scheme_names:
             resolve_scheme(scheme)
@@ -1099,18 +1102,6 @@ def _experiments_main(argv: list[str]) -> int:
         parser, "--device", "--apps", "--scale", "--seed", "--jobs",
         apps=None,
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile every simulated cell with cProfile and report the "
-        "top cumulative frames (forces serial execution)",
-    )
-    parser.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="PATH",
-        help="write the per-cell profile report here (default: stderr)",
-    )
     _add_flags(parser, "--no-cache", "--retries", "--cell-timeout")
     parser.add_argument(
         "--keep-going",
@@ -1158,30 +1149,10 @@ def _experiments_main(argv: list[str]) -> int:
             continue
         print(result.text)
         print()
-    if runner.profiles:
-        _emit_profiles(runner.profiles, args.profile_out)
     if runner.failures:
         _cells_failed(runner.failures, args.failures_out)
         exit_code = EXIT_PARTIAL if args.keep_going else EXIT_FAILED
     return exit_code
-
-
-def _emit_profiles(profiles: list[dict], out_path: str | None) -> None:
-    """Write the per-cell cProfile report (``--profile``)."""
-    sections = [
-        f"== {p['app']} / {p['label']} ==\n{p['stats']}" for p in profiles
-    ]
-    text = "\n".join(sections)
-    if out_path:
-        path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        print(
-            f"profile report ({len(profiles)} cell(s)) written to {path}",
-            file=sys.stderr,
-        )
-    else:
-        print(text, file=sys.stderr)
 
 
 def _cells_failed(failures, out_path: str | None = None) -> int:

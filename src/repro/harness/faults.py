@@ -51,6 +51,7 @@ service tier are written exactly like that.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 import traceback as traceback_mod
@@ -335,12 +336,20 @@ def check_run_limits(
     jobs: int = 1,
     retries: int = 0,
     cell_timeout: Optional[float] = None,
+    scale: float = 1.0,
+    seed: int = 0,
 ) -> None:
     """The one range rule of the flags that size a run and its
     attempts: ``--jobs`` (worker processes), ``--retries`` (the extra
-    attempts :class:`CellAttempts` grants) and ``--cell-timeout`` (the
-    per-attempt deadline). Raises :class:`ValueError` naming the flag;
-    the CLI reports it as a usage error."""
+    attempts :class:`CellAttempts` grants), ``--cell-timeout`` (the
+    per-attempt deadline), ``--scale`` (positive and finite, as
+    admission requires of a job's scale) and ``--seed`` (>= 0). Raises
+    :class:`ValueError` naming the flag; the CLI reports it as a usage
+    error."""
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"--scale must be positive and finite, got {scale}")
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     if retries < 0:

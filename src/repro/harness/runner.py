@@ -63,9 +63,6 @@ single crashed or hung worker must not throw away a whole sweep):
 
 from __future__ import annotations
 
-import cProfile
-import io
-import pstats
 import sys
 import time
 import weakref
@@ -87,7 +84,6 @@ from repro.sim.report import SimReport
 from repro.sim.spec import SimSpec
 from repro.sim.system import GPUSystem, simulate_spec
 from repro.telemetry.hub import (
-    DEFAULT_WINDOW_CYCLES,
     HARNESS_CHAOS_CORRUPTED,
     HARNESS_FAILED_ATTEMPTS,
     HARNESS_POOL_REBUILDS,
@@ -98,12 +94,8 @@ from repro.telemetry.hub import (
     HARNESS_WORKER_CRASHES,
     MetricsHub,
 )
+from repro.telemetry.sampler import DEFAULT_WINDOW_CYCLES
 from repro.workloads.registry import get_workload
-
-#: Stack frames kept per cell by the ``--profile`` capture (sorted by
-#: cumulative time; enough to see the scheduler/engine split without
-#: drowning the report).
-PROFILE_TOP_N = 30
 
 
 @dataclass(frozen=True)
@@ -204,12 +196,8 @@ def _simulate_cell(
     if key not in workloads:
         workloads.clear()
         workloads[key] = cell.workload()
-    hub = None
-    if on_window is not None and cell.spec.telemetry:
-        hub = MetricsHub()
-        hub.on_window = on_window
     start = time.perf_counter()
-    report = simulate_spec(workloads[key], cell.spec, telemetry=hub)
+    report = simulate_spec(workloads[key], cell.spec, on_window=on_window)
     return report, time.perf_counter() - start
 
 
@@ -256,10 +244,7 @@ class Runner:
     its scheme and ``measure_error`` put in (see :meth:`cell`).
     ``jobs`` controls matrix fan-out (1 = serial in-process; N > 1 uses a
     persistent :class:`~repro.harness.pool.WarmPool` of N workers that
-    survives across ``run_matrix`` calls). ``profile=True`` wraps every
-    in-process cell in :mod:`cProfile` and collects the top cumulative
-    frames into :attr:`profiles` (forces serial execution — a worker
-    process cannot be profiled from the parent). ``cache=None`` disables
+    survives across ``run_matrix`` calls). ``cache=None`` disables
     the persistent disk layer; the default honours
     ``REPRO_NO_CACHE``/``REPRO_CACHE_DIR``.
 
@@ -277,9 +262,9 @@ class Runner:
     A sub-sweep that changes only some fields (another queue size, a
     tenant's solo baseline) runs on ``dataclasses.replace(runner,
     **changes)``: it inherits every field it does not override and
-    shares the cache, metrics, failure manifest and profiles by
-    reference, so its quarantined cells and retry counters surface in
-    the parent's manifest (and the CLI's exit code). The memo, the
+    shares the cache, metrics and failure manifest by reference, so
+    its quarantined cells and retry counters surface in the parent's
+    manifest (and the CLI's exit code). The memo, the
     worker pool and ``simulations_run`` are each runner's own.
     """
 
@@ -289,8 +274,6 @@ class Runner:
     spec: SimSpec = field(default_factory=SimSpec)
     verbose: bool = True
     jobs: int = 1
-    #: Capture a cProfile per simulated cell (serial runs only).
-    profile: bool = False
     cache: Optional[ResultCache] = field(default_factory=ResultCache)
     retries: int = 1
     retry_backoff: float = 0.05
@@ -301,8 +284,6 @@ class Runner:
     #: Every quarantined cell over this runner's life (the manifest the
     #: CLI serializes). Derived runners share the parent's list.
     failures: list[CellFailure] = field(default_factory=list)
-    #: ``--profile`` captures: {"app", "label", "stats"} per cell.
-    profiles: list[dict] = field(default_factory=list)
     #: Cells simulated (not served from memo/disk) over this runner's life.
     simulations_run: int = field(default=0, init=False)
     _memo: dict[str, SimReport] = field(default_factory=dict, init=False)
@@ -358,30 +339,6 @@ class Runner:
             self._pool = None
 
     # ------------------------------------------------------------------
-    def _simulate_inline(
-        self, record: CellAttempts, workloads: dict
-    ) -> tuple[SimReport, float]:
-        """In-process simulation of the cell's next attempt, optionally
-        under the profiler."""
-        profiler = cProfile.Profile() if self.profile else None
-        if profiler is not None:
-            profiler.enable()
-        try:
-            return _simulate_cell(
-                record.cell, workloads=workloads, faults=self.faults,
-                cell_index=record.index, attempt=record.attempts + 1,
-            )
-        finally:
-            if profiler is not None:
-                profiler.disable()
-                buffer = io.StringIO()
-                stats = pstats.Stats(profiler, stream=buffer)
-                stats.sort_stats("cumulative").print_stats(PROFILE_TOP_N)
-                self.profiles.append(
-                    {"app": record.cell.app, "label": record.label,
-                     "stats": buffer.getvalue()}
-                )
-
     def _finish(
         self, record: CellAttempts, report: SimReport, elapsed: float
     ) -> None:
@@ -431,13 +388,13 @@ class Runner:
         *,
         window_cycles: int = DEFAULT_WINDOW_CYCLES,
         log_commands: bool = True,
-    ) -> tuple[SimReport, GPUSystem, MetricsHub]:
-        """Simulate one cell with full observability attached.
+    ) -> tuple[SimReport, GPUSystem]:
+        """Simulate one cell with its telemetry on at ``window_cycles``.
 
-        Returns ``(report, system, hub)``: the report carries the
-        windowed ``timeline``, the system retains the per-channel DRAM
-        command logs (for the Chrome trace exporter), and the hub holds
-        the named counters/gauges. Traced runs always simulate from
+        The cell's spec runs with ``telemetry=True``. Returns ``(report,
+        system)``: the report carries the windowed ``timeline``, and
+        the system retains the per-channel DRAM command logs (for the
+        Chrome trace exporter). Traced runs always simulate from
         scratch — command logs live on the system, not in the report,
         so neither the memo nor the disk cache can serve them — but the
         report itself is still deterministic and field-identical (minus
@@ -446,9 +403,10 @@ class Runner:
         cell = self.cell(app, scheme)
         reset_request_ids()
         workload = cell.workload()
-        hub = MetricsHub(window_cycles=window_cycles)
         system = GPUSystem.from_spec(
-            cell.spec, log_commands=log_commands, telemetry=hub
+            replace(cell.spec, telemetry=True),
+            log_commands=log_commands,
+            window_cycles=window_cycles,
         )
         start = time.perf_counter()
         report = system.run(
@@ -462,7 +420,7 @@ class Runner:
             f"traced in {time.perf_counter() - start:.1f}s, "
             f"{len(report.timeline or [])} windows",
         )
-        return report, system, hub
+        return report, system
 
     # ------------------------------------------------------------------
     def run_matrix(
@@ -526,11 +484,8 @@ class Runner:
                 for i, (key, (cell, label)) in enumerate(todo.items())
             ]
             use_pool = (
-                not self.profile  # workers cannot be profiled from here
-                and (
-                    (jobs > 1 and len(records) > 1)
-                    or self.cell_timeout is not None
-                )
+                (jobs > 1 and len(records) > 1)
+                or self.cell_timeout is not None
             )
             if use_pool:
                 self._run_supervised(records, max(jobs, 1))
@@ -595,8 +550,10 @@ class Runner:
             while True:
                 start = time.perf_counter()
                 try:
-                    report, elapsed = self._simulate_inline(
-                        record, workloads
+                    report, elapsed = _simulate_cell(
+                        record.cell, workloads=workloads,
+                        faults=self.faults, cell_index=record.index,
+                        attempt=record.attempts + 1,
                     )
                 except Exception as exc:
                     wasted = time.perf_counter() - start

@@ -37,9 +37,6 @@ class AMSUnit:
         # Per-window counters for Dyn-AMS.
         self._window_reads = 0
         self._window_drops = 0
-        #: History of (window_index, th_rbl) for diagnostics/tests.
-        self.th_trace: list[tuple[int, int]] = []
-        self._window_index = 0
 
     # ------------------------------------------------------------------
     @property
@@ -58,11 +55,6 @@ class AMSUnit:
         if not self.reads_arrived:
             return 0.0
         return self.reads_dropped / self.reads_arrived
-
-    @property
-    def window_index(self) -> int:
-        """Profiling windows consumed so far (telemetry probe)."""
-        return self._window_index
 
     @property
     def warmed_up(self) -> bool:
@@ -116,7 +108,6 @@ class AMSUnit:
         if self.config.mode is not AMSMode.DYNAMIC:
             self._reset_window()
             return
-        self._window_index += 1
         if self._window_reads:
             window_coverage = self._window_drops / self._window_reads
             # "Achieving" the user coverage within a window: close enough
@@ -125,7 +116,6 @@ class AMSUnit:
                 self._th_rbl = max(self.config.min_th_rbl, self._th_rbl - 1)
             else:
                 self._th_rbl = min(self.config.max_th_rbl, self._th_rbl + 1)
-        self.th_trace.append((self._window_index, self._th_rbl))
         self._reset_window()
 
     def _reset_window(self) -> None:

@@ -41,7 +41,6 @@ from repro.sched.policies import (
     make_selector,
 )
 from repro.sim.engine import Engine
-from repro.telemetry.hub import NULL_HUB, MetricsHub
 from repro.vp.predictor import DropRecord, ValuePredictor
 
 #: reply_fn(request, approx, donor_line_addr) — called at data-return time.
@@ -62,7 +61,6 @@ class MemoryController:
         engine: Engine,
         reply_fn: ReplyFn,
         predictor: Optional[ValuePredictor] = None,
-        telemetry: Optional[MetricsHub] = None,
     ) -> None:
         self.channel = channel
         self.config = config
@@ -78,9 +76,6 @@ class MemoryController:
         #: Per-tenant accounting; installed by ``attach_tenants`` for
         #: multi-tenant runs, ``None`` (zero-cost guards) otherwise.
         self.tenants = None
-        # Counters/gauges fire only at low-frequency points (window
-        # ticks, drops); with the default NULL_HUB every call is a no-op.
-        self.telemetry = telemetry if telemetry is not None else NULL_HUB
         self.queue = PendingQueue(
             config.pending_queue_size, config.mapping.banks_per_channel
         )
@@ -197,13 +192,6 @@ class MemoryController:
         self.dms.on_window(bwutil)
         self.ams.set_halted(self.dms.wants_ams_halted)
         self.ams.on_window()
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            ch = self.channel.channel_id
-            telemetry.inc(f"mc{ch}.profile_ticks")
-            telemetry.gauge(f"mc{ch}.profile.bwutil", bwutil)
-            telemetry.gauge(f"mc{ch}.dms.x", self.dms.current_delay)
-            telemetry.gauge(f"mc{ch}.ams.th_rbl", float(self.ams.th_rbl))
         idle_window = (
             self.queue.empty and self._window_arrivals == 0 and busy == 0.0
         )
@@ -331,10 +319,6 @@ class MemoryController:
         # cell, the interaction the error-tolerance argument relies on.
         if self.channel.read_path is not None:
             self.channel.read_path.on_spared(len(victims))
-        if self.telemetry.enabled:
-            self.telemetry.inc(
-                f"mc{self.channel.channel_id}.ams.drops", len(victims)
-            )
 
     # ------------------------------------------------------------------
     def _wake_at(self, time: float) -> None:

@@ -47,9 +47,6 @@ class DMSUnit:
         self._last_good: float | None = None
         self._direction = 0  # +1 searching up, -1 searching down, 0 unknown
         self._windows_in_phase = 0
-        #: History of (window_index, delay) for diagnostics/tests.
-        self.delay_trace: list[tuple[int, float]] = []
-        self._window_index = 0
 
     # ------------------------------------------------------------------
     @property
@@ -61,11 +58,6 @@ class DMSUnit:
     def current_delay(self) -> float:
         """The delay X currently enforced on row-opening requests."""
         return self._delay
-
-    @property
-    def window_index(self) -> int:
-        """Profiling windows consumed so far (telemetry probe)."""
-        return self._window_index
 
     @property
     def wants_ams_halted(self) -> bool:
@@ -88,7 +80,6 @@ class DMSUnit:
         """Consume the BWUTIL of the window that just finished."""
         if not self._dynamic:
             return
-        self._window_index += 1
         self._windows_in_phase += 1
         if self._windows_in_phase >= self.config.windows_per_phase:
             self._restart_phase()
@@ -109,7 +100,6 @@ class DMSUnit:
             self._search_step(bwutil)
         elif self._state is _DynState.SETTLED:
             self._settled_guard(bwutil)
-        self.delay_trace.append((self._window_index, self._delay))
 
     def _settled_guard(self, bwutil: float) -> None:
         """Watchdog for the settled delay between phase restarts.
@@ -178,4 +168,3 @@ class DMSUnit:
         self._windows_in_phase = 0
         self._state = _DynState.BASELINE
         self._delay = 0.0  # sample the no-delay baseline next window
-        self.delay_trace.append((self._window_index, self._delay))

@@ -214,8 +214,8 @@ class SimReport:
     final_th_rbls: list[int] = field(default_factory=list)
     #: Application error, filled in by the approximation replay pipeline.
     application_error: Optional[float] = None
-    #: Windowed telemetry series; present only when the run was executed
-    #: with a :class:`~repro.telemetry.hub.MetricsHub` attached.
+    #: Windowed telemetry series; present only when the spec set
+    #: ``telemetry`` (or the system was built with ``window_cycles``).
     timeline: Optional[Timeline] = None
     #: Reliability counters + FIT/carbon estimates; present only when an
     #: ECC code or the fault injector was active (``None`` keeps the

@@ -47,7 +47,7 @@ class SimSpec:
     measure_error: bool = False
     #: Keep per-channel activation logs on the report (RBL histograms).
     record_activations: bool = True
-    #: Attach a windowed-telemetry hub (``report.timeline``).
+    #: Record the per-window telemetry series (``report.timeline``).
     telemetry: bool = False
     #: Registered ECC code protecting DRAM reads (``"none"`` = raw).
     ecc: str = "none"

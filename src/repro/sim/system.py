@@ -7,7 +7,7 @@ exposes :func:`simulate_spec`, the package's main entry point.
 from __future__ import annotations
 
 import gc
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.cache.l2cache import DIRTY_FILL, L2Cache, L2Outcome
 from repro.config.gpu import GPUConfig
@@ -23,8 +23,7 @@ from repro.sched.controller import MemoryController
 from repro.sim.engine import Engine
 from repro.sim.report import L2Summary, SimReport
 from repro.sim.spec import SimSpec
-from repro.telemetry.hub import NULL_HUB, MetricsHub
-from repro.telemetry.sampler import WindowSeries
+from repro.telemetry.sampler import DEFAULT_WINDOW_CYCLES, WindowSeries
 from repro.vp.predictor import make_predictor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -35,7 +34,11 @@ _MSHR_RETRY_CYCLES = 8.0
 
 
 class GPUSystem:
-    """One simulated GPU (Table I baseline unless configured otherwise)."""
+    """One simulated GPU (Table I baseline unless configured otherwise).
+
+    ``window_cycles`` turns on the window recorder (``report.timeline``),
+    which hands each window to ``on_window`` as it closes.
+    """
 
     def __init__(
         self,
@@ -44,13 +47,11 @@ class GPUSystem:
         *,
         record_activations: bool = True,
         log_commands: bool = False,
-        telemetry: Optional[MetricsHub] = None,
+        window_cycles: Optional[int] = None,
+        on_window: Optional[Callable] = None,
     ) -> None:
         self.config = config or GPUConfig()
         self.scheduler = scheduler or baseline_scheduler()
-        #: Opt-in observability hub; :data:`NULL_HUB` (all no-ops) when
-        #: absent, so the hot path is unchanged with telemetry off.
-        self.telemetry = telemetry if telemetry is not None else NULL_HUB
         self.config.validate()
         self.scheduler.validate()
         self.engine = Engine()
@@ -75,7 +76,6 @@ class GPUSystem:
                 engine=self.engine,
                 reply_fn=self._make_reply_fn(ch),
                 predictor=make_predictor(self.scheduler.vp, self.l2s[ch]),
-                telemetry=self.telemetry,
             )
             for ch, channel in enumerate(self.channels)
         ]
@@ -96,6 +96,10 @@ class GPUSystem:
         #: :meth:`_attach_tenants` for multi-tenant specs only.
         self.tenant_tracker = None
         self.engine.diagnostics = self._deadlock_snapshot
+        self.sampler = (
+            WindowSeries(self, window_cycles, on_window)
+            if window_cycles is not None else None
+        )
 
     @classmethod
     def from_spec(
@@ -103,24 +107,26 @@ class GPUSystem:
         spec: SimSpec,
         *,
         log_commands: bool = False,
-        telemetry: Optional[MetricsHub] = None,
+        window_cycles: int = DEFAULT_WINDOW_CYCLES,
+        on_window: Optional[Callable] = None,
     ) -> "GPUSystem":
         """Assemble a system from a :class:`~repro.sim.spec.SimSpec`.
 
         The whole spec is validated first, so every simulation path
         refuses what admission refuses. The spec's device (when named)
-        is resolved onto its GPU config; ``spec.telemetry`` creates a
-        fresh hub unless one is passed in.
+        is resolved onto its GPU config. ``spec.telemetry`` is the one
+        switch of the window recorder: only with it set does the run
+        record a timeline at ``window_cycles`` and stream each window
+        to ``on_window``.
         """
         spec.validate()
-        if telemetry is None and spec.telemetry:
-            telemetry = MetricsHub()
         system = cls(
             config=spec.resolve_config(),
             scheduler=spec.scheduler,
             record_activations=spec.record_activations,
             log_commands=log_commands,
-            telemetry=telemetry,
+            window_cycles=window_cycles if spec.telemetry else None,
+            on_window=on_window,
         )
         system._attach_ecc(spec)
         system._attach_tenants(spec)
@@ -330,9 +336,8 @@ class GPUSystem:
             self.engine, self.config, warp_streams, self._mem_access,
             stream_tenants=stream_tenants,
         )
-        sampler: Optional[WindowSeries] = None
-        if self.telemetry.enabled:
-            sampler = WindowSeries(self.telemetry, self)
+        sampler = self.sampler
+        if sampler is not None:
             sampler.start()
         self.frontend.start()
         # The event loop allocates short-lived containers (candidate
@@ -429,16 +434,17 @@ def simulate_spec(
     workload: "Workload",
     spec: SimSpec,
     *,
-    telemetry: Optional[MetricsHub] = None,
+    on_window: Optional[Callable] = None,
 ) -> SimReport:
     """Simulate ``workload`` as described by ``spec`` — the primary
     entry point.
 
     With ``spec.measure_error`` the AMS drop log is replayed through the
     workload's kernel (values substituted by the VP's donor lines) and
-    ``report.application_error`` is filled in. With a telemetry hub
-    (``spec.telemetry`` or an explicit ``telemetry=``),
-    ``report.timeline`` carries the per-window series.
+    ``report.application_error`` is filled in. With ``spec.telemetry``,
+    ``report.timeline`` carries the per-window series at
+    :data:`~repro.telemetry.sampler.DEFAULT_WINDOW_CYCLES`, and
+    ``on_window`` sees each window as it closes.
 
     When ``spec.tenants`` names a mix, ``workload`` supplies only the
     run-level scale and seed: the simulated trace is the
@@ -446,7 +452,7 @@ def simulate_spec(
     mix's own workload roster (pass a ready-made ``TenantMix`` to skip
     the re-composition).
     """
-    system = GPUSystem.from_spec(spec, telemetry=telemetry)
+    system = GPUSystem.from_spec(spec, on_window=on_window)
     if spec.tenants is not None:
         from repro.workloads.tenant_mix import TenantMix
 

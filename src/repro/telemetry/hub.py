@@ -1,34 +1,18 @@
-"""The telemetry hub: named counters, gauges, and the window recorder.
+"""The counter registry of the harness, the service daemon and the
+warehouse.
 
-Telemetry is *strictly opt-in*. Components receive :data:`NULL_HUB` by
-default — a singleton whose methods are no-ops — so the simulator's hot
-path pays nothing when observability is off. Passing a real
-:class:`MetricsHub` to :class:`~repro.sim.system.GPUSystem` (or
-``simulate_spec(..., telemetry=hub)``) turns on:
+A :class:`MetricsHub` holds named monotonic counters (the canonical
+names are below); ``snapshot()`` is what ``GET /v1/stats`` serves and
+what the chaos tests assert on. Components that may run without one
+take :data:`NULL_HUB`, whose methods are no-ops.
 
-* named **counters** (monotonic, e.g. ``"mc0.ams.drops"``) and
-  **gauges** (last-value, e.g. ``"mc0.dms.x"``) that instrumented
-  components update at low-frequency points (window ticks, drops);
-* the :class:`~repro.telemetry.sampler.WindowSeries` recorder, which
-  probes the engine, controllers, DMS/AMS units, value predictor, and
-  L2 slices every ``window_cycles`` and builds the
-  :class:`~repro.telemetry.series.Timeline` attached to the report.
-
-Every probe is **read-only**: a telemetry-on run produces a
-``SimReport`` whose simulation fields are identical to the same run
-with telemetry off (enforced by ``tests/test_telemetry.py``).
+The simulator keeps no counters here: its one observability record is
+the per-window :class:`~repro.telemetry.series.Timeline` that
+:class:`~repro.telemetry.sampler.WindowSeries` attaches to the report
+of a ``spec.telemetry`` run.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
-
-from repro.telemetry.series import Timeline, WindowSample
-
-#: Default window: the harness's Dyn-DMS/Dyn-AMS profiling window
-#: (``repro.harness.schemes.WINDOW_CYCLES``). Every ``spec.telemetry``
-#: report is recorded at it, so its cache key fixes its timeline.
-DEFAULT_WINDOW_CYCLES = 1024
 
 # ----------------------------------------------------------------------
 # Canonical counter names of the harness fault-tolerance layer. The
@@ -114,86 +98,37 @@ ANALYTICS_REGRESSIONS = "analytics.regressions"
 
 
 class MetricsHub:
-    """Named counters/gauges plus the per-window timeline of one run."""
+    """Named counters, created at zero on first increment."""
 
-    #: Real hubs record; the :class:`NullHub` advertises ``False`` so
-    #: instrumentation sites can skip string formatting entirely.
-    enabled = True
-
-    def __init__(self, *, window_cycles: int = DEFAULT_WINDOW_CYCLES) -> None:
-        if window_cycles <= 0:
-            raise ValueError("window_cycles must be positive")
-        self.window_cycles = window_cycles
+    def __init__(self) -> None:
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
-        #: Filled in by the window recorder at the end of the run.
-        self.timeline: Optional[Timeline] = None
-        #: Called with each window as the recorder closes it (a worker
-        #: of the service tier streams them to the daemon this way).
-        self.on_window: Optional[Callable[[WindowSample], None]] = None
-        #: Named append-only numeric series (one value per window),
-        #: e.g. the per-tenant ``tenant.<name>.served`` timelines. Kept
-        #: outside :class:`~repro.telemetry.series.WindowSample` — whose
-        #: serialized key set is pinned — so new series never perturb
-        #: existing timelines.
-        self.series: dict[str, list[float]] = {}
 
-    # ------------------------------------------------------------------
     def inc(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to the named counter (created at zero)."""
         self.counters[name] = self.counters.get(name, 0.0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the named gauge to its latest observed value."""
-        self.gauges[name] = value
 
     def counter(self, name: str) -> float:
         """Current value of a counter (zero when never incremented)."""
         return self.counters.get(name, 0.0)
 
-    def append_series(self, name: str, value: float) -> None:
-        """Append one sample to the named series (created empty)."""
-        series = self.series.get(name)
-        if series is None:
-            series = self.series[name] = []
-        series.append(value)
-
     def snapshot(self) -> dict:
-        """All counters and gauges, sorted by name (for logs/tests)."""
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-        }
+        """All counters, sorted by name (for logs/tests)."""
+        return {"counters": dict(sorted(self.counters.items()))}
 
 
 class NullHub:
-    """Disabled telemetry: every operation is a no-op.
-
-    Shares the :class:`MetricsHub` interface so instrumented code never
-    branches on ``hub is None``; the ``enabled`` flag lets rare-but-not-
-    free sites (e.g. per-window gauge formatting) skip work entirely.
-    """
-
-    enabled = False
-    window_cycles = 0
-    timeline = None
-    series: dict[str, list] = {}
+    """A hub that counts nothing: every operation is a no-op."""
 
     def inc(self, name: str, value: float = 1.0) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
-    def append_series(self, name: str, value: float) -> None:
         pass
 
     def counter(self, name: str) -> float:
         return 0.0
 
     def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}}
+        return {"counters": {}}
 
 
-#: The shared disabled hub handed to every component by default.
+#: The shared disabled hub: the default ``metrics=`` of the components
+#: that count only when given a real hub.
 NULL_HUB = NullHub()

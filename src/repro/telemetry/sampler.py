@@ -1,12 +1,15 @@
 """The windowed probe that records a :class:`Timeline` from a live run.
 
 :class:`WindowSeries` schedules itself on the simulation engine every
-``hub.window_cycles`` and snapshots the whole system: per-channel bus
+``window_cycles`` and snapshots the whole system: per-channel bus
 utilisation (via the *non-destructive*
 :meth:`~repro.dram.stats.BusUtilizationTracker.busy_in` query, so the
 Dyn-DMS profiler's own destructive cursor is never perturbed), pending
 queue depths, activation/serve/drop counters, L2 hits/misses, engine
-event throughput, and the live X / Th_RBL trajectories.
+event throughput, and the live X / Th_RBL trajectories. It is the
+simulator's one observability record: ``GPUSystem.from_spec`` attaches
+it when ``spec.telemetry`` is set, and the timeline it builds is the
+report's ``timeline``.
 
 Design constraints:
 
@@ -22,24 +25,40 @@ Design constraints:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.telemetry.hub import MetricsHub
 from repro.telemetry.series import Timeline, WindowSample
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.system import GPUSystem
 
+#: Default window: the harness's Dyn-DMS/Dyn-AMS profiling window
+#: (``repro.harness.schemes.WINDOW_CYCLES``). Every ``spec.telemetry``
+#: report is recorded at it, so its cache key fixes its timeline.
+DEFAULT_WINDOW_CYCLES = 1024
+
 _EPS = 1e-9
 
 
 class WindowSeries:
-    """Records one :class:`Timeline` from a :class:`GPUSystem` run."""
+    """Records one :class:`Timeline` from a :class:`GPUSystem` run.
 
-    def __init__(self, hub: MetricsHub, system: "GPUSystem") -> None:
-        self.hub = hub
+    ``on_window`` sees each window as it closes (a worker of the service
+    tier streams them to the daemon this way).
+    """
+
+    def __init__(
+        self,
+        system: "GPUSystem",
+        window_cycles: int,
+        on_window: Optional[Callable[[WindowSample], None]] = None,
+    ) -> None:
+        if window_cycles <= 0:
+            raise ValueError("window_cycles must be positive")
         self.system = system
-        self.window = float(hub.window_cycles)
+        self.window_cycles = window_cycles
+        self.on_window = on_window
+        self.window = float(window_cycles)
         self.samples: list[WindowSample] = []
         self._last_end = 0.0
         # Cumulative-counter snapshots for windowed deltas.
@@ -52,16 +71,6 @@ class WindowSeries:
         self._prev_events = 0
         self._prev_drop_log = [0] * len(system.controllers)
         self._prev_donors = 0
-        # Per-tenant cumulative snapshots (multi-tenant runs only).
-        tracker = system.tenant_tracker
-        self._prev_tenant_served = (
-            [0] * len(tracker.requests_served)
-            if tracker is not None else []
-        )
-        self._prev_tenant_drops = (
-            [0] * len(tracker.requests_dropped)
-            if tracker is not None else []
-        )
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -92,11 +101,9 @@ class WindowSeries:
         if end > self._last_end + _EPS:
             self._sample(self._last_end, end)
             self._last_end = end
-        timeline = Timeline(
-            window_cycles=self.hub.window_cycles, samples=self.samples
+        return Timeline(
+            window_cycles=self.window_cycles, samples=self.samples
         )
-        self.hub.timeline = timeline
-        return timeline
 
     # ------------------------------------------------------------------
     def _sample(self, start: float, end: float) -> None:
@@ -154,8 +161,8 @@ class WindowSeries:
             th_rbl=[mc.ams.th_rbl for mc in system.controllers],
         )
         self.samples.append(sample)
-        if self.hub.on_window is not None:
-            self.hub.on_window(sample)
+        if self.on_window is not None:
+            self.on_window(sample)
         self._prev_acts = acts
         self._prev_served = served
         self._prev_reads = reads
@@ -164,26 +171,3 @@ class WindowSeries:
         self._prev_l2_misses = l2_misses
         self._prev_events = events
         self._prev_donors = donors
-        hub = self.hub
-        hub.gauge("window.bwutil", sample.bwutil)
-        hub.gauge("window.queue_depth", float(sample.queue_depth))
-        hub.gauge("window.coverage", coverage)
-        hub.inc("window.samples")
-        # Per-tenant timelines ride as hub series, not WindowSample
-        # fields — the sample's serialized key set is pinned.
-        tracker = system.tenant_tracker
-        if tracker is not None:
-            names = [t.name for t in tracker.mix.tenants]
-            for tid, name in enumerate(names):
-                served_now = tracker.requests_served[tid]
-                drops_now = tracker.requests_dropped[tid]
-                hub.append_series(
-                    f"tenant.{name}.served",
-                    float(served_now - self._prev_tenant_served[tid]),
-                )
-                hub.append_series(
-                    f"tenant.{name}.drops",
-                    float(drops_now - self._prev_tenant_drops[tid]),
-                )
-                self._prev_tenant_served[tid] = served_now
-                self._prev_tenant_drops[tid] = drops_now

@@ -192,6 +192,15 @@ class _Ran(Exception):
     ["pareto", "--p-bit", "-1"],
     ["pareto", "--p-bit", "2"],
     ["pareto", "--p-bit", "nan"],
+    ["trace", "Baseline", "synthetic", "--scale", "0"],
+    ["trace", "Baseline", "synthetic", "--seed", "-1"],
+    ["trace", "Baseline", "synthetic", "--window", "0"],
+    ["table", "--apps", "synthetic", "--scale", "0"],
+    ["table", "--apps", "synthetic", "--seed", "-3"],
+    ["matrix", "--scale", "nan"],
+    ["fig11", "--scale", "-1"],
+    ["pareto", "--scale", "inf"],
+    ["tenants", "--tenant", "a=synthetic", "--scale", "0"],
 ])
 def test_out_of_range_run_flags_are_usage_errors(argv, monkeypatch, capsys):
     from repro.harness.runner import Runner
@@ -202,6 +211,7 @@ def test_out_of_range_run_flags_are_usage_errors(argv, monkeypatch, capsys):
 
     monkeypatch.setattr(Runner, "run", ran)
     monkeypatch.setattr(Runner, "run_matrix", ran)
+    monkeypatch.setattr(Runner, "run_traced", ran)
     monkeypatch.setattr(ServiceDaemon, "run", ran)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--quiet"])

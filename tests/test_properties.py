@@ -29,7 +29,6 @@ from repro.dram.devices import device_names, get_device
 from repro.sched.policies import arbiter_names, selector_names
 from repro.sim.spec import SimSpec
 from repro.sim.system import GPUSystem
-from repro.telemetry import MetricsHub
 from repro.workloads.layout import AddressSpace
 from repro.workloads.tenant_mix import TenantMix
 from repro.workloads.traces import row_visit_streams
@@ -250,8 +249,7 @@ def test_telemetry_window_invariants(
     the paper's bounds: Dyn-DMS X in [0, 2048] in multiples of 128,
     Dyn-AMS Th_RBL in [1, 8], cumulative coverage within the 10% cap.
     """
-    hub = MetricsHub(window_cycles=window_cycles)
-    system = GPUSystem(scheduler=scheduler, telemetry=hub)
+    system = GPUSystem(scheduler=scheduler, window_cycles=window_cycles)
     streams = build_streams(
         n_warps=n_warps,
         lines_per_visit=lines_per_visit,

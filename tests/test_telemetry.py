@@ -3,8 +3,9 @@
 The headline guarantee is *differential*: running the same cell with
 telemetry on and off produces field-identical ``SimReport``s apart from
 the opt-in ``timeline`` — observability never perturbs simulation.
-The rest covers the hub contract, the timeline round-trip through the
-persistent result cache, and both exporters.
+The rest covers the one telemetry switch (``spec.telemetry``), the
+counter hub, the timeline round-trip through the persistent result
+cache, and both exporters.
 """
 
 import json
@@ -25,9 +26,11 @@ from repro.sim.report import SimReport
 from repro.sim.spec import SimSpec
 from repro.sim.system import GPUSystem, simulate_spec
 from repro.telemetry import (
+    DEFAULT_WINDOW_CYCLES,
     NULL_HUB,
     MetricsHub,
     Timeline,
+    WindowSeries,
     system_chrome_trace,
     write_chrome_trace,
     write_jsonl,
@@ -51,17 +54,21 @@ def traced_run(
     scale: float = 0.2,
     seed: int = 5,
 ):
-    """One deterministic cell, optionally observed."""
+    """One deterministic cell, optionally observed; returns the report,
+    the system and the windows streamed while it ran."""
     reset_request_ids()
     workload = get_workload(app, scale=scale, seed=seed)
-    hub = MetricsHub(window_cycles=512) if telemetry else None
+    streamed = []
     system = GPUSystem(
-        scheduler=scheduler, telemetry=hub, log_commands=log_commands
+        scheduler=scheduler,
+        log_commands=log_commands,
+        window_cycles=512 if telemetry else None,
+        on_window=streamed.append,
     )
     report = system.run(
         workload.warp_streams(system.config), workload_name=workload.name
     )
-    return report, system, hub
+    return report, system, streamed
 
 
 class TestDifferential:
@@ -94,38 +101,28 @@ class TestDifferential:
 
 
 class TestHub:
-    def test_counters_and_gauges(self) -> None:
-        hub = MetricsHub(window_cycles=64)
+    def test_counters(self) -> None:
+        hub = MetricsHub()
         hub.inc("a")
         hub.inc("a", 2.5)
-        hub.gauge("g", 1.0)
-        hub.gauge("g", 3.0)
         assert hub.counter("a") == pytest.approx(3.5)
         assert hub.counter("missing") == 0.0
-        assert hub.snapshot() == {
-            "counters": {"a": 3.5},
-            "gauges": {"g": 3.0},
-        }
+        assert hub.snapshot() == {"counters": {"a": 3.5}}
 
     def test_invalid_window_rejected(self) -> None:
         with pytest.raises(ValueError):
-            MetricsHub(window_cycles=0)
+            WindowSeries(GPUSystem(), 0)
 
     def test_null_hub_is_inert(self) -> None:
         NULL_HUB.inc("x", 5)
-        NULL_HUB.gauge("y", 1.0)
-        assert not NULL_HUB.enabled
         assert NULL_HUB.counter("x") == 0.0
-        assert NULL_HUB.snapshot() == {"counters": {}, "gauges": {}}
+        assert NULL_HUB.snapshot() == {"counters": {}}
 
-    def test_run_populates_hub(self) -> None:
-        report, _, hub = traced_run(DYN_COMBO, telemetry=True)
-        assert hub.timeline is report.timeline
-        assert hub.counter("window.samples") == len(report.timeline)
-        drops = sum(
-            v for k, v in hub.counters.items() if k.endswith("ams.drops")
-        )
-        assert drops == report.requests_dropped
+    def test_run_streams_every_window(self) -> None:
+        report, _, streamed = traced_run(DYN_COMBO, telemetry=True)
+        assert streamed == report.timeline.samples
+        assert sum(s.drops for s in streamed) == report.requests_dropped
+        assert report.requests_dropped > 0
 
 
 class TestTimelineRoundTrip:
@@ -228,10 +225,16 @@ class TestTraceCLI:
         assert len(jsonl) == 1 and len(trace) == 1
         document = json.loads(trace[0].read_text(encoding="utf-8"))
         assert document["traceEvents"]
-        for line in jsonl[0].read_text(encoding="utf-8").splitlines():
+        samples = [
             json.loads(line)
+            for line in jsonl[0].read_text(encoding="utf-8").splitlines()
+        ]
+        # --window reaches the recorder: every window but the trailing
+        # partial one spans exactly 512 cycles.
+        assert len(samples) > 1
+        assert all(s["end"] - s["start"] == 512 for s in samples[:-1])
         out = capsys.readouterr().out
-        assert "wrote" in out
+        assert f"wrote {jsonl[0]} ({len(samples)} windows)" in out
 
     def test_trace_subcommand_jsonl_only(self, tmp_path) -> None:
         rc = cli_main(
@@ -248,13 +251,25 @@ class TestTraceCLI:
         assert not list(tmp_path.glob("*.trace.json"))
 
 
-def test_simulate_accepts_telemetry() -> None:
-    """`simulate_spec()` plumbs the hub through to the report timeline."""
-    hub = MetricsHub(window_cycles=512)
+def test_spec_telemetry_is_the_one_switch() -> None:
+    """`spec.telemetry` alone turns the recorder on: the timeline is at
+    the default window and the sink sees exactly its samples; with it
+    off nothing is recorded or streamed, even with a sink."""
     workload = get_workload("synthetic", scale=0.15, seed=5)
-    reset_request_ids()
-    report = simulate_spec(
-        workload, SimSpec(scheduler=DYN_COMBO), telemetry=hub
-    )
-    assert report.timeline is hub.timeline
+
+    def run(telemetry: bool):
+        streamed = []
+        reset_request_ids()
+        report = simulate_spec(
+            workload, SimSpec(scheduler=DYN_COMBO, telemetry=telemetry),
+            on_window=streamed.append,
+        )
+        return report, streamed
+
+    report, streamed = run(True)
+    assert report.timeline.window_cycles == DEFAULT_WINDOW_CYCLES
     assert len(report.timeline) > 0
+    assert streamed == report.timeline.samples
+    report, streamed = run(False)
+    assert report.timeline is None
+    assert streamed == []

@@ -344,29 +344,3 @@ class TestSlowdowns:
         for name in ("lat", "bw", "ax", "Jain fairness", "shared-frfcfs"):
             assert name in text
 
-
-# ----------------------------------------------------------------------
-# Telemetry: per-tenant window series
-# ----------------------------------------------------------------------
-class TestTenantTelemetry:
-    def test_per_tenant_series_recorded(self) -> None:
-        mix = three_tenant_mix()
-        runner = Runner(spec=SimSpec(tenants=mix), cache=None, verbose=False)
-        report, system, hub = runner.run_traced(
-            "mix", scheme_by_id("static-dms+static-ams"),
-            window_cycles=1024, log_commands=False,
-        )
-        for name in ("lat", "bw", "ax"):
-            assert f"tenant.{name}.served" in hub.series
-            assert f"tenant.{name}.drops" in hub.series
-        windows = len(report.timeline or [])
-        for values in hub.series.values():
-            assert len(values) == windows
-        # The series deltas sum back to the per-tenant totals.
-        for tid, name in enumerate(("lat", "bw", "ax")):
-            assert sum(hub.series[f"tenant.{name}.served"]) == (
-                report.tenants.tenants[tid].requests_served
-            )
-            assert sum(hub.series[f"tenant.{name}.drops"]) == (
-                report.tenants.tenants[tid].requests_dropped
-            )
